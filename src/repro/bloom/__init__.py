@@ -1,25 +1,11 @@
-"""Bloom-filter substrate for predicate transfer.
-
-The paper's prototype uses Apache Arrow's bloom filter inside FPDB; the
-PySpark analogue here is a numpy bit array (``filter.BloomFilter``)
-built distributedly with one ``mapInPandas`` scan per source table
-(``spark_bloom.build_blooms`` — one scan produces *all* outgoing
-filters, matching §3.2's filter-transformation algorithm) and probed
-with a vectorized pandas UDF over a broadcast of the bit array
-(``spark_bloom.bloom_filter_df``).
+"""Bloom-filter substrate for predicate transfer: the paper's FPDB uses
+Apache Arrow's bloom filter, this reproduction Spark's own runtime-filter
+expressions, driven from ``spark_bloom`` (one scan builds all of a
+table's outgoing filters, §3.2; one filter probes all it received).
+``filter.optimal_params`` sizes them; the numpy ``filter.BloomFilter``
+and ``hashing`` serve only the micro-benchmark.
 """
-from repro.bloom.filter import BloomFilter, optimal_params
-from repro.bloom.hashing import combine_columns, mix64, series_to_u64
-from repro.bloom.spark_bloom import BloomSpec, apply_blooms, bloom_filter_df, build_blooms
+from repro.bloom.filter import optimal_params
+from repro.bloom.spark_bloom import BloomSpec, SparkBloomFilter, apply_blooms, build_blooms
 
-__all__ = [
-    "BloomFilter",
-    "optimal_params",
-    "mix64",
-    "series_to_u64",
-    "combine_columns",
-    "BloomSpec",
-    "build_blooms",
-    "bloom_filter_df",
-    "apply_blooms",
-]
+__all__ = ["optimal_params", "BloomSpec", "SparkBloomFilter", "build_blooms", "apply_blooms"]

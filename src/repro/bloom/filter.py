@@ -3,11 +3,8 @@
 Double hashing (Kirsch–Mitzenmacher): from one pre-mixed 64-bit key we
 derive ``h1`` and ``h2`` and probe positions ``(h1 + i*h2) mod n_bits``
 for ``i in 0..k-1``. No false negatives by construction; the false
-positive rate is set by ``optimal_params``.
-
-The bit array is a ``uint64`` word array so filters merge with a single
-``|=`` — that is how per-partition filters built on executors are
-combined on the driver (see ``spark_bloom.build_blooms``).
+positive rate is set by ``optimal_params``, which also sizes the Spark
+filters of ``spark_bloom``; the rest serves the numpy micro-benchmark.
 """
 from __future__ import annotations
 

@@ -1,31 +1,40 @@
-"""Distributed Bloom-filter build & probe over Spark DataFrames.
+"""Distributed Bloom-filter build & probe inside the Spark JVM, with the
+expressions behind Spark's own runtime filter (SPARK-32268), built
+through py4j since Spark does not register them as SQL functions.
 
-Build (``build_blooms``) mirrors §3.2's filter-transformation
-algorithm: the source table is scanned **once** with ``mapInPandas``;
-every executor partition accumulates one partial bit array *per
-outgoing filter*, emits them as one binary row, and the driver ORs the
-partials together. N outgoing edges still cost a single scan.
-
-Probe (``bloom_filter_df``) broadcasts the word array and filters with
-a vectorized pandas UDF over a struct of the key columns — an Arrow
-batch in, a boolean mask out, no shuffle. This is the reproduction's
-stand-in for "Bloom probes are much cheaper than hash-table probes"
-(paper's β ≪ 1): with broadcast joins disabled, the alternative exact
-semi-join *shuffles* both sides.
+Build (``build_blooms``, §3.2's filter transformation) is one ``df.agg``
+with a ``BloomFilterAggregate`` per outgoing filter: N filters, one
+scan. Probe (``apply_blooms``) is one ``df.filter`` over the AND of a
+``BloomFilterMightContain`` per received filter, its bytes a literal.
+Both sides hash ``xxhash64`` of the keys with every numeric key cast to
+``double``, so values Spark's join finds equal (an int and an equal
+float or decimal, ``-0.0`` and ``0.0``) hash equally; distinct values
+can only collide, giving false positives, never false negatives.
 """
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import reduce
+from operator import and_
+from typing import Sequence, Tuple
 
-import numpy as np
-import pandas as pd
-from pyspark.sql import Column, DataFrame
+from py4j.protocol import Py4JError
+from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.functions import pandas_udf
+from pyspark.sql.classic.column import Column as ClassicColumn
+from pyspark.sql.types import NumericType
 
-from repro.bloom.filter import BloomFilter, optimal_params
-from repro.bloom.hashing import combine_columns, mix64
+from repro.bloom.filter import optimal_params
+
+AGGREGATE = "org.apache.spark.sql.catalyst.expressions.aggregate.BloomFilterAggregate"
+MIGHT_CONTAIN = "org.apache.spark.sql.catalyst.expressions.BloomFilterMightContain"
+EXPRESSION_UTILS = "org.apache.spark.sql.classic.ExpressionUtils"
+SKETCH = "org.apache.spark.util.sketch.BloomFilter"
+
+#: ``SKETCH.writeTo`` header: version, hash count, seed, 64-bit word count.
+_HEADER = struct.Struct(">iiii")
+_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -40,81 +49,88 @@ class BloomSpec:
         return optimal_params(self.expected_items, self.fpp)
 
 
-def _hash_frame(pdf: pd.DataFrame, cols: Sequence[str]) -> np.ndarray:
-    return mix64(combine_columns([pdf[c] for c in cols]))
+@dataclass(frozen=True)
+class SparkBloomFilter:
+    """A filter in Spark's serialized form; ``n_bits`` is read from its
+    header, so it shows any clamping by Spark's ``bloomFilter.maxNumBits``."""
+
+    data: bytes
+    n_bits: int
+
+    @classmethod
+    def parse(cls, data: bytes) -> "SparkBloomFilter":
+        version, _hashes, _seed, n_words = _HEADER.unpack_from(data)
+        if version != _VERSION or len(data) != _HEADER.size + 8 * n_words:
+            raise RuntimeError(
+                f"Spark Bloom filter of version {version}, {len(data)} bytes for "
+                f"{n_words} words; only version {_VERSION} is understood"
+            )
+        return cls(bytes(data), 64 * n_words)
+
+    @property
+    def bit_count(self) -> int:
+        """Number of set bits (diagnostics / saturation checks)."""
+        return int.from_bytes(self.data[_HEADER.size :], "big").bit_count()
 
 
-def build_blooms(df: DataFrame, specs: Sequence[BloomSpec]) -> list[BloomFilter]:
-    """Build one Bloom filter per spec with a single scan of ``df``.
+def _jvm(spark: SparkSession, name: str):
+    """Spark's JVM class ``name`` (an uncallable package if Spark lacks it)."""
+    return reduce(getattr, name.split("."), spark._jvm)
 
-    Specs with identical ``cols`` still produce independent filters (the
-    caller dedupes if it wants to share); all are filled from the same
-    pass over the data.
-    """
+
+def jvm_column(spark: SparkSession, name: str, *args: Column, agg: bool = False) -> Column:
+    """``Column`` of Catalyst's ``new name(args...)``, or an error naming it."""
+    utils = _jvm(spark, EXPRESSION_UTILS)
+    try:
+        expr = _jvm(spark, name)(*[utils.expression(a._jc) for a in args])
+        return ClassicColumn(utils.column(expr.toAggregateExpression() if agg else expr))
+    except (Py4JError, TypeError) as e:
+        msg = f"Spark {spark.version}: cannot build {name}({len(args)} expressions)"
+        raise RuntimeError(f"{msg} through {EXPRESSION_UTILS}") from e
+
+
+def _key_hash(df: DataFrame, cols: Sequence[str]) -> Column:
+    """``xxhash64`` of the key columns, every numeric one as ``double``."""
+    numeric = {f.name for f in df.schema.fields if isinstance(f.dataType, NumericType)}
+    return F.xxhash64(*[F.col(c).cast("double") if c in numeric else F.col(c) for c in cols])
+
+
+def _empty_filter(spark: SparkSession, items: int, n_bits: int) -> bytes:
+    """The empty filter the aggregate returns NULL for, sized as it would be."""
+    conf = "spark.sql.optimizer.runtime.bloomFilter.max"
+    items = min(items, int(spark.conf.get(conf + "NumItems")))
+    n_bits = min(n_bits, int(spark.conf.get(conf + "NumBits")))
+    out = spark._jvm.java.io.ByteArrayOutputStream()
+    _jvm(spark, SKETCH).create(items, n_bits).writeTo(out)
+    return bytes(out.toByteArray())
+
+
+def build_blooms(df: DataFrame, specs: Sequence[BloomSpec]) -> list[SparkBloomFilter]:
+    """One Bloom filter per spec from a single scan of ``df``; specs with
+    identical ``cols`` still get independent filters."""
     if not specs:
         return []
-    params = [s.params() for s in specs]
-    needed = sorted({c for s in specs for c in s.cols})
-    schema = ", ".join(f"b{i} binary" for i in range(len(specs)))
-    spec_cols = [tuple(s.cols) for s in specs]
-
-    def gen(batches: Iterable[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        partials = [
-            np.zeros((n_bits + 63) // 64, dtype=np.uint64) for n_bits, _ in params
-        ]
-        filters = [BloomFilter(n_bits, k, w) for (n_bits, k), w in zip(params, partials)]
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            hashed = {cols: _hash_frame(pdf, cols) for cols in set(spec_cols)}
-            for f, cols in zip(filters, spec_cols):
-                f.add_hashed(hashed[cols])
-        yield pd.DataFrame({f"b{i}": [f.to_bytes()] for i, f in enumerate(filters)})
-
-    rows = df.select(*needed).mapInPandas(gen, schema).collect()
-    out = [BloomFilter(n_bits, k) for n_bits, k in params]
-    for row in rows:
-        for i, f in enumerate(out):
-            f.merge_words(row[i])
-    return out
+    spark = df.sparkSession
+    sizes = [(max(1, s.expected_items), s.params()[0]) for s in specs]
+    aggs = [
+        jvm_column(spark, AGGREGATE, _key_hash(df, s.cols), *[F.lit(v).cast("long") for v in n], agg=True)
+        for s, n in zip(specs, sizes)
+    ]
+    row = df.agg(*[a.alias(f"b{i}") for i, a in enumerate(aggs)]).first()
+    return [
+        SparkBloomFilter.parse(_empty_filter(spark, *n) if raw is None else raw)
+        for raw, n in zip(row, sizes)
+    ]
 
 
 def apply_blooms(
-    df: DataFrame,
-    filters: Sequence[Tuple[Sequence[str], BloomFilter]],
+    df: DataFrame, filters: Sequence[Tuple[Sequence[str], SparkBloomFilter]]
 ) -> DataFrame:
-    """``df`` restricted to rows passing *every* filter, in one
-    vectorized pass (LIP-style combined application, §3.2): the key
-    columns cross the Arrow boundary once regardless of the number of
-    received filters; hashes are shared across filters with identical
-    key sets. Bit arrays ride to executors inside the serialized UDF
-    closure; ``np.frombuffer`` reconstructs them zero-copy per batch.
-    """
+    """``df`` restricted to rows passing *every* filter, in one filter."""
     if not filters:
         return df
-    payload = [
-        (tuple(cols), b.n_bits, b.n_hashes, b.to_bytes()) for cols, b in filters
+    terms = [
+        jvm_column(df.sparkSession, MIGHT_CONTAIN, F.lit(f.data), _key_hash(df, cols))
+        for cols, f in filters
     ]
-    all_cols: list[str] = []
-    for cols, *_ in payload:
-        for c in cols:
-            if c not in all_cols:
-                all_cols.append(c)
-
-    @pandas_udf("boolean")
-    def probe(keys: pd.DataFrame) -> pd.Series:
-        hashed: dict = {}
-        mask = np.ones(len(keys), dtype=bool)
-        for cols, n_bits, n_hashes, raw in payload:
-            if cols not in hashed:
-                hashed[cols] = mix64(combine_columns([keys[c] for c in cols]))
-            f = BloomFilter(n_bits, n_hashes, np.frombuffer(raw, dtype=np.uint64))
-            mask &= f.contains_hashed(hashed[cols])
-        return pd.Series(mask)
-
-    return df.filter(probe(F.struct(*[F.col(c).alias(c) for c in all_cols])))
-
-
-def bloom_filter_df(df: DataFrame, cols: Sequence[str], bloom: BloomFilter) -> DataFrame:
-    """``df`` restricted to rows whose key passes ``bloom``."""
-    return apply_blooms(df, [(tuple(cols), bloom)])
+    return df.filter(reduce(and_, terms))

@@ -17,8 +17,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from pyspark.sql import Column, DataFrame
 
-from repro.bloom.filter import BloomFilter
-from repro.bloom.spark_bloom import apply_blooms
+from repro.bloom.spark_bloom import SparkBloomFilter, apply_blooms
 from repro.core.spec import Edge, QuerySpec
 
 _HOW = {"inner": "inner", "semi": "leftsemi", "anti": "left_anti"}
@@ -37,7 +36,7 @@ class JoinMeasure:
 
 #: Per-step probe-side filters for the Bloom Join strategy:
 #: table being joined -> [(probe-side key cols, bloom filter)].
-StepBlooms = Mapping[str, Sequence[Tuple[Tuple[str, ...], BloomFilter]]]
+StepBlooms = Mapping[str, Sequence[Tuple[Tuple[str, ...], SparkBloomFilter]]]
 
 
 def _edge_condition(e: Edge, acc: DataFrame, right: DataFrame, incoming: str) -> Column:

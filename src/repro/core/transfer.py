@@ -22,8 +22,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from pyspark.sql import DataFrame
 
-from repro.bloom.filter import BloomFilter
-from repro.bloom.spark_bloom import BloomSpec, apply_blooms, build_blooms
+from repro.bloom.spark_bloom import BloomSpec, SparkBloomFilter, apply_blooms, build_blooms
 from repro.core.graph import DirectedEdge, orient, reverse_dag, topological_order
 from repro.core.spec import Edge
 
@@ -44,7 +43,7 @@ def _run_pass(
     pass_edges: Sequence[DirectedEdge],
     node_order: Sequence[str],
     tables: Mapping[str, DataFrame],
-    received: Dict[str, List[Tuple[Tuple[str, ...], BloomFilter]]],
+    received: Dict[str, List[Tuple[Tuple[str, ...], SparkBloomFilter]]],
     sizes: Mapping[str, int],
     fpp: float,
     stats: TransferStats,
@@ -87,7 +86,7 @@ def predicate_transfer(
     dag = orient(edges, sizes)
     topo = topological_order(nodes, dag)
     stats.dag, stats.topo = list(dag), list(topo)
-    received: Dict[str, List[Tuple[Tuple[str, ...], BloomFilter]]] = {
+    received: Dict[str, List[Tuple[Tuple[str, ...], SparkBloomFilter]]] = {
         t: [] for t in nodes
     }
     _run_pass(dag, topo, tables, received, sizes, fpp, stats)

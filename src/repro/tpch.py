@@ -71,8 +71,8 @@ def generate(spark: SparkSession, *, sf: float, persist: bool = True) -> TPCHDat
         # Normalize the partition layout: Arrow conversion creates one
         # partition per ~10k-row batch (300 partitions for SF-0.5
         # lineitem), and tiny tables still get defaultParallelism
-        # partitions — either way every narrow scan pays a task (and a
-        # Python-worker round trip) per partition.
+        # partitions — either way every narrow scan pays a task per
+        # partition.
         if len(pdf) < 20_000:
             df = df.coalesce(1)
         elif df.rdd.getNumPartitions() > par:

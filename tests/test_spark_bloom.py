@@ -1,9 +1,11 @@
 """Distributed Bloom build/probe tests over Spark DataFrames."""
 import pandas as pd
 import pytest
+from py4j.java_gateway import JavaClass
 from pyspark.sql import functions as F
 
-from repro.bloom.spark_bloom import BloomSpec, bloom_filter_df, build_blooms
+from repro.bloom import spark_bloom
+from repro.bloom.spark_bloom import BloomSpec, SparkBloomFilter, apply_blooms, build_blooms
 
 
 @pytest.fixture(scope="module")
@@ -17,14 +19,12 @@ def kv(spark):
 
 
 class TestBuild:
-    def test_membership_of_built_filter(self, kv):
+    def test_membership_of_built_filter(self, spark, kv):
         (bloom,) = build_blooms(kv, [BloomSpec(("k",), 1000)])
-        from repro.bloom.hashing import combine_columns, mix64
-
-        present = mix64(combine_columns([pd.Series(range(1000))]))
-        absent = mix64(combine_columns([pd.Series(range(5000, 10_000))]))
-        assert bloom.contains_hashed(present).all()
-        assert bloom.contains_hashed(absent).mean() < 0.05
+        present = spark.range(1000).withColumnRenamed("id", "k")
+        absent = spark.range(5000, 10_000).withColumnRenamed("id", "k")
+        assert apply_blooms(present, [(("k",), bloom)]).count() == 1000
+        assert apply_blooms(absent, [(("k",), bloom)]).count() < 0.05 * 5000
 
     def test_multiple_specs_one_scan(self, kv):
         blooms = build_blooms(
@@ -45,33 +45,33 @@ class TestProbe:
     def test_no_false_negatives_end_to_end(self, spark, kv):
         build = kv.filter("k < 100")
         (bloom,) = build_blooms(build, [BloomSpec(("k",), 100)])
-        probe = bloom_filter_df(kv, ("k",), bloom)
+        probe = apply_blooms(kv, [(("k",), bloom)])
         kept = {r.k for r in probe.select("k").distinct().collect()}
         assert set(range(100)) <= kept
 
     def test_filters_most_non_members(self, spark, kv):
         build = kv.filter("k < 100")
         (bloom,) = build_blooms(build, [BloomSpec(("k",), 100, fpp=0.01)])
-        n = bloom_filter_df(kv, ("k",), bloom).count()
+        n = apply_blooms(kv, [(("k",), bloom)]).count()
         # 1000 true rows + fp margin over the other 9000
         assert 1000 <= n <= 1000 + 0.05 * 9000
 
     def test_empty_build_side_filters_everything(self, spark, kv):
         (bloom,) = build_blooms(kv.filter("k < 0"), [BloomSpec(("k",), 10)])
-        assert bloom_filter_df(kv, ("k",), bloom).count() == 0
+        assert apply_blooms(kv, [(("k",), bloom)]).count() == 0
 
     def test_multi_column_probe(self, spark):
         left = spark.createDataFrame(pd.DataFrame({"a": [1, 1, 2], "b": [1, 2, 1]}))
         right = spark.createDataFrame(pd.DataFrame({"a": [1], "b": [2]}))
         (bloom,) = build_blooms(right, [BloomSpec(("a", "b"), 1, fpp=0.001)])
-        kept = bloom_filter_df(left, ("a", "b"), bloom).collect()
+        kept = apply_blooms(left, [(("a", "b"), bloom)]).collect()
         assert {(r.a, r.b) for r in kept} == {(1, 2)}
 
     def test_string_keys(self, spark):
         names = spark.createDataFrame(pd.DataFrame({"n": ["ASIA", "EUROPE", "AFRICA"]}))
         build = spark.createDataFrame(pd.DataFrame({"m": ["ASIA"]}))
         (bloom,) = build_blooms(build, [BloomSpec(("m",), 1, fpp=0.001)])
-        kept = bloom_filter_df(names, ("n",), bloom).collect()
+        kept = apply_blooms(names, [(("n",), bloom)]).collect()
         assert {r.n for r in kept} == {"ASIA"}
 
     def test_date_keys(self, spark):
@@ -79,11 +79,9 @@ class TestProbe:
         left = spark.createDataFrame(pd.DataFrame({"d": dates}))
         build = spark.createDataFrame(pd.DataFrame({"e": dates[:1]}))
         (bloom,) = build_blooms(build, [BloomSpec(("e",), 1, fpp=0.001)])
-        assert bloom_filter_df(left, ("d",), bloom).count() == 1
+        assert apply_blooms(left, [(("d",), bloom)]).count() == 1
 
     def test_apply_blooms_multiple_filters_conjoin(self, spark, kv):
-        from repro.bloom.spark_bloom import apply_blooms
-
         b1 = build_blooms(kv.filter("k < 100"), [BloomSpec(("k",), 100, 0.001)])[0]
         b2 = build_blooms(kv.filter("k >= 50"), [BloomSpec(("k",), 950, 0.001)])[0]
         out = apply_blooms(kv, [(("k",), b1), (("k",), b2)])
@@ -92,13 +90,9 @@ class TestProbe:
         assert 0 not in kept and 999 not in kept
 
     def test_apply_blooms_empty_list_is_identity(self, spark, kv):
-        from repro.bloom.spark_bloom import apply_blooms
-
         assert apply_blooms(kv, []) is kv
 
     def test_apply_blooms_mixed_key_sets(self, spark):
-        from repro.bloom.spark_bloom import apply_blooms
-
         df = spark.createDataFrame(
             pd.DataFrame({"a": [1, 1, 2, 3], "b": [10, 11, 12, 13]})
         )
@@ -113,6 +107,59 @@ class TestProbe:
         """bloom-filtered ⊇ exact semi-join, and equal modulo fps."""
         build = kv.filter("k % 7 = 0").select(F.col("k").alias("bk"))
         (bloom,) = build_blooms(build, [BloomSpec(("bk",), 2000, fpp=0.01)])
-        bloomed = bloom_filter_df(kv, ("k",), bloom)
+        bloomed = apply_blooms(kv, [(("k",), bloom)])
         exact = kv.join(build, kv["k"] == build["bk"], "leftsemi")
         assert exact.exceptAll(bloomed.select(*kv.columns)).count() == 0
+
+
+class TestSparkInternals:
+    """The build and probe use Spark internals that are not public API:
+    an upgrade that moves or changes them must fail here, by name."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            spark_bloom.AGGREGATE,
+            spark_bloom.MIGHT_CONTAIN,
+            spark_bloom.EXPRESSION_UTILS,
+            spark_bloom.SKETCH,
+        ],
+    )
+    def test_class_present(self, spark, name):
+        assert isinstance(spark_bloom._jvm(spark, name), JavaClass), (
+            f"Spark {spark.version} has no class {name}"
+        )
+
+    def test_both_expressions_build_and_header_version(self, spark):
+        df = spark.range(100).withColumnRenamed("id", "k")
+        (bloom,) = build_blooms(df, [BloomSpec(("k",), 100)])
+        assert bloom.data[:4] == (2).to_bytes(4, "big"), "serialization version changed"
+        assert bloom.n_bits >= BloomSpec(("k",), 100).params()[0]
+        assert 0 < bloom.bit_count <= bloom.n_bits
+        assert apply_blooms(df, [(("k",), bloom)]).count() == 100
+
+    def test_missing_signature_is_named(self, spark):
+        with pytest.raises(RuntimeError, match="BloomFilterMightContain\\(1 expressions\\)"):
+            spark_bloom.jvm_column(spark, spark_bloom.MIGHT_CONTAIN, F.lit(1))
+
+    def test_missing_class_is_named(self, spark):
+        with pytest.raises(RuntimeError, match="NoSuchExpression"):
+            spark_bloom.jvm_column(spark, "org.apache.spark.sql.catalyst.NoSuchExpression")
+
+    def test_unknown_header_version_rejected(self):
+        with pytest.raises(RuntimeError, match="version 1"):
+            SparkBloomFilter.parse((1).to_bytes(4, "big") + bytes(12))
+
+    def test_header_reports_clamped_size(self, spark):
+        key = "spark.sql.optimizer.runtime.bloomFilter.maxNumBits"
+        old = spark.conf.get(key)
+        spark.conf.set(key, "4096")
+        df = spark.range(10_000).withColumnRenamed("id", "k")
+        spec = BloomSpec(("k",), 10_000)
+        try:
+            (full,) = build_blooms(df, [spec])
+            (empty,) = build_blooms(df.filter("k < 0"), [spec])
+        finally:
+            spark.conf.set(key, old)
+        assert full.n_bits == empty.n_bits == 4096
+        assert empty.bit_count == 0 and full.bit_count > 0
