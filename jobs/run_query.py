@@ -23,6 +23,15 @@ def run(spark: SparkSession, name: str, strategy: str, sf: float, verify: bool =
     return rr, data
 
 
+def format_sizes(rr) -> str:
+    """One ``table: sizes → reduced_sizes`` line per table, ``?`` for a
+    size the strategy does not record (Bloom Join reduces no table)."""
+    tables = list(rr.sizes) or list(rr.reduced_sizes)
+    return "\n".join(
+        f"  {t}: {rr.sizes.get(t, '?')} → {rr.reduced_sizes.get(t, '?')}" for t in tables
+    )
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--query", required=True, choices=queries.ALL)
@@ -44,6 +53,9 @@ def main(argv=None) -> None:
         f"join={rr.join_s:.2f}s total={rr.total_s:.2f}s"
         + (" (oracle: OK)" if args.verify else "")
     )
+    if rr.sizes or rr.reduced_sizes:
+        print("table: rows after local predicates → after the pre-filter phase")
+        print(format_sizes(rr))
     rr.cleanup()
     data.unpersist()
 

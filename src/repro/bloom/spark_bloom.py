@@ -13,9 +13,11 @@ can only collide, giving false positives, never false negatives.
 """
 from __future__ import annotations
 
+import math
 import struct
+import warnings
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import and_
 from typing import Sequence, Tuple
 
@@ -51,21 +53,27 @@ class BloomSpec:
 
 @dataclass(frozen=True)
 class SparkBloomFilter:
-    """A filter in Spark's serialized form; ``n_bits`` is read from its
-    header, so it shows any clamping by Spark's ``bloomFilter.maxNumBits``."""
+    """A filter in Spark's serialized form; ``n_bits`` and ``n_hashes``
+    are read from its header, so they show any clamping by Spark's
+    ``bloomFilter.maxNumBits``."""
 
     data: bytes
     n_bits: int
+    n_hashes: int
 
     @classmethod
     def parse(cls, data: bytes) -> "SparkBloomFilter":
-        version, _hashes, _seed, n_words = _HEADER.unpack_from(data)
+        version, n_hashes, _seed, n_words = _HEADER.unpack_from(data)
         if version != _VERSION or len(data) != _HEADER.size + 8 * n_words:
             raise RuntimeError(
                 f"Spark Bloom filter of version {version}, {len(data)} bytes for "
                 f"{n_words} words; only version {_VERSION} is understood"
             )
-        return cls(bytes(data), 64 * n_words)
+        return cls(bytes(data), 64 * n_words, n_hashes)
+
+    def fpp(self, items: int) -> float:
+        """Estimated false-positive rate after ``items`` distinct keys."""
+        return (1 - math.exp(-self.n_hashes * items / self.n_bits)) ** self.n_hashes
 
     @property
     def bit_count(self) -> int:
@@ -75,7 +83,14 @@ class SparkBloomFilter:
 
 def _jvm(spark: SparkSession, name: str):
     """Spark's JVM class ``name`` (an uncallable package if Spark lacks it)."""
-    return reduce(getattr, name.split("."), spark._jvm)
+    return _jvm_class(spark._jvm, name)
+
+
+@lru_cache(maxsize=None)
+def _jvm_class(jvm, name: str):
+    """``name`` looked up once per gateway: each package segment is a py4j
+    round trip."""
+    return reduce(getattr, name.split("."), jvm)
 
 
 def jvm_column(spark: SparkSession, name: str, *args: Column, agg: bool = False) -> Column:
@@ -107,7 +122,10 @@ def _empty_filter(spark: SparkSession, items: int, n_bits: int) -> bytes:
 
 def build_blooms(df: DataFrame, specs: Sequence[BloomSpec]) -> list[SparkBloomFilter]:
     """One Bloom filter per spec from a single scan of ``df``; specs with
-    identical ``cols`` still get independent filters."""
+    identical ``cols`` still get independent filters. A filter that
+    Spark's ``bloomFilter.maxNumBits`` leaves smaller than requested is
+    reported with a ``RuntimeWarning`` giving its estimated false-positive
+    rate."""
     if not specs:
         return []
     spark = df.sparkSession
@@ -117,10 +135,20 @@ def build_blooms(df: DataFrame, specs: Sequence[BloomSpec]) -> list[SparkBloomFi
         for s, n in zip(specs, sizes)
     ]
     row = df.agg(*[a.alias(f"b{i}") for i, a in enumerate(aggs)]).first()
-    return [
+    filters = [
         SparkBloomFilter.parse(_empty_filter(spark, *n) if raw is None else raw)
         for raw, n in zip(row, sizes)
     ]
+    for s, (items, n_bits), f in zip(specs, sizes, filters):
+        if f.n_bits < n_bits:
+            warnings.warn(
+                f"Bloom filter on {', '.join(s.cols)}: {n_bits} bits requested, "
+                f"{f.n_bits} granted (spark.sql.optimizer.runtime.bloomFilter.maxNumBits); "
+                f"estimated false-positive rate {f.fpp(items):.3g} for {items} keys",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    return filters
 
 
 def apply_blooms(

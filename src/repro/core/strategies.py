@@ -9,7 +9,8 @@ one join-phase executor:
   (forward + backward), then the join phase on the reduced tables.
 - ``pred_trans``    — the paper's contribution: Bloom filters
   transferred across the whole join graph (forward + backward passes
-  over the small→big DAG), then the join phase.
+  over the small→big DAG), then the join phase, whose scans apply the
+  received filters (nothing is materialized in between).
 
 ``run_query`` is the "optimizer rule" of this reproduction: it takes
 the logical block (``QuerySpec``) and emits/executes the rewritten
@@ -18,14 +19,13 @@ plan, timing the pre-filter phase and the join phase separately
 """
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from pyspark.sql import DataFrame, SparkSession
-
 from functools import reduce as _reduce
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
 from repro.bloom.spark_bloom import BloomSpec, build_blooms
@@ -46,12 +46,19 @@ class RunResult:
     df: DataFrame
     rows: Optional[list] = None
     pre_s: float = 0.0  # sub-query blocks (executed first, §3.4)
-    transfer_s: float = 0.0  # pre-filter phase (blooms / semi-joins)
+    #: Pre-filter phase: the size count, then Bloom filter builds or the
+    #: materialized semi-joins. Pred-Trans's ends at its last filter
+    #: build; the probe of the filters each table received runs in the
+    #: join phase's scans and is charged to ``join_s``.
+    transfer_s: float = 0.0
     join_s: float = 0.0  # join phase incl. finalize + collect
     measures: List[JoinMeasure] = field(default_factory=list)
     scalars: Dict[str, float] = field(default_factory=dict)  # scalar sub-queries
     sizes: Dict[str, int] = field(default_factory=dict)  # filtered inputs
-    reduced_sizes: Dict[str, int] = field(default_factory=dict)  # post pre-filter
+    #: Rows left after the pre-filter phase (Yannakakis and Pred-Trans).
+    #: Pred-Trans reads them from observations on the join phase's own
+    #: action, so a run with ``collect=False`` (a sub-query) leaves this empty.
+    reduced_sizes: Dict[str, int] = field(default_factory=dict)
     transfer_stats: Optional[TransferStats] = None
     _persisted: List[DataFrame] = field(default_factory=list)
 
@@ -107,6 +114,73 @@ def _count_all(tables: Dict[str, DataFrame]) -> Dict[str, int]:
         for t, df in tables.items()
     ]
     return {r["t"]: r["n"] for r in _reduce(DataFrame.unionAll, branches).collect()}
+
+
+def _observe_counts(
+    tables: Dict[str, DataFrame],
+) -> Tuple[Dict[str, DataFrame], Dict[str, Observation]]:
+    """Each table with an ``Observation`` of its row count attached; the
+    first action that runs a table's plan records its count."""
+    observed, observations = {}, {}
+    for t, df in tables.items():
+        observations[t] = Observation()
+        observed[t] = df.observe(observations[t], F.count(F.lit(1)).alias("n"))
+    return observed, observations
+
+
+#: Plan nodes that read all of their input: a stage's shuffle or broadcast write.
+_STAGE_ENDS = {"Exchange", "BroadcastExchange"}
+
+
+def _partly_read_observations(df: DataFrame) -> Set[str]:
+    """Names of the ``CollectMetrics`` nodes in ``df``'s executed plan
+    whose input may not all have been read: a join or a limit sits above
+    them in the same stage. A sort-merge join, for one, never reads a
+    partition of one input when that partition of the other is empty;
+    an input reaches a join without a shuffle when it is already
+    partitioned on the join keys (a persisted group-by, say)."""
+    jvm = df.sparkSession._jvm
+    plan = jvm.java.lang.StringBuilder().append(df._jdf.queryExecution().executedPlan())
+    # Bloom filter literals make the plan text megabytes long at larger
+    # scale factors; drop them before the text leaves the JVM.
+    text = jvm.java.util.regex.Pattern.compile("0x[0-9A-F]+").matcher(plan).replaceAll("0x")
+    partly: Set[str] = set()
+    ancestors: List[Tuple[int, str]] = []  # (indent, node name) of the lines above
+    for line in text.splitlines():
+        body = line.lstrip(" :+-")
+        indent = len(line) - len(body)
+        fields = re.sub(r"^\*\(\d+\) ", "", body).split(" ", 2)
+        while ancestors and ancestors[-1][0] >= indent:
+            ancestors.pop()
+        if fields[0] == "CollectMetrics":
+            for _, node in reversed(ancestors):
+                if node in _STAGE_ENDS:
+                    break
+                if node.endswith(("Join", "Limit")) or node == "CartesianProduct":
+                    partly.add(fields[1].rstrip(","))
+                    break
+        ancestors.append((indent, fields[0]))
+    return partly
+
+
+def _observed_counts(
+    tables: Dict[str, DataFrame], observations: Dict[str, Observation], action: DataFrame
+) -> Dict[str, int]:
+    """Exact row counts of ``tables``, once ``action`` (whose plan holds
+    every observed table) has run. An observation is used when it saw
+    all of its table: AQE drops an observed branch whenever a join input
+    is empty at run time, leaving a zero-length row, and a branch that
+    may have been read in part (``_partly_read_observations``) is
+    skipped. Those tables alone are counted, in one action."""
+    rows = {t: o._jo.getRow() for t, o in observations.items()}
+    partly = _partly_read_observations(action)
+    missed = {
+        t: tables[t]
+        for t, row in rows.items()
+        if row.length() == 0 or observations[t]._jo.name() in partly
+    }
+    counted = _count_all(missed) if missed else {}
+    return {t: counted[t] if t in missed else row.getLong(0) for t, row in rows.items()}
 
 
 def _bloom_join_step_blooms(spec, tables, sizes, order, fpp):
@@ -165,9 +239,10 @@ def run_query(
         reduced = tables
     else:
         reduced = tables
-    if strategy in ("pred_trans", "yannakakis"):
-        # Materialize the reduced tables — the unified-plan handoff of
-        # §3.3: the join phase starts from these, never rescanning.
+    if strategy == "yannakakis":
+        # Materialize the exact semi-join reductions, so the pre-filter
+        # phase carries their cost (as the paper charges it) and the join
+        # phase starts from them.
         # One counting action materializes every persisted table.
         for t, df in reduced.items():
             df.persist()
@@ -175,12 +250,20 @@ def run_query(
         res.reduced_sizes = _count_all(reduced)
     res.transfer_s = time.perf_counter() - t0
 
+    # Pred-Trans hands its lazy reduced tables (base ∧ local predicate ∧
+    # received filters) to the join phase, whose scans then apply the
+    # filters; their sizes are observed on the join phase's own action.
+    join_inputs, observations = reduced, {}
+    if strategy == "pred_trans" and collect:
+        join_inputs, observations = _observe_counts(reduced)
     t1 = time.perf_counter()
     joined, res.measures = execute_join_phase(
-        spec, reduced, join_order=order, step_blooms=step_blooms, measure=measure
+        spec, join_inputs, join_order=order, step_blooms=step_blooms, measure=measure
     )
     res.df = spec.finalize(joined, res.scalars)
     if collect:
         res.rows = res.df.collect()
     res.join_s = time.perf_counter() - t1
+    if observations:
+        res.reduced_sizes = _observed_counts(reduced, observations, res.df)
     return res

@@ -10,7 +10,7 @@ Given locally-filtered tables and the join-graph edges:
    same procedure in reverse topological order.
 
 Each table's reduced form is its local-filtered base plus every filter
-it received across both passes. The reduction is sound by construction:
+it received across both passes, left lazy for the join phase to probe. The reduction is sound by construction:
 a Bloom filter has no false negatives, so only rows whose join key is
 absent from the (already reduced) neighbour are dropped — rows that
 could never reach the join result.
@@ -78,9 +78,10 @@ def predicate_transfer(
     sizes: Mapping[str, int],
     fpp: float = 0.01,
 ) -> Tuple[Dict[str, DataFrame], TransferStats]:
-    """Run both passes; returns per-table reduced DataFrames (lazy — the
-    caller persists/counts them, which is the phase's materialization
-    cost) and the transfer statistics."""
+    """Run both passes; returns per-table reduced DataFrames and the
+    transfer statistics. The reduced tables are lazy: each is its input
+    plus one filter over every Bloom filter it received, which the join
+    phase's scans apply (nothing is materialized here)."""
     stats = TransferStats()
     nodes = list(tables)
     dag = orient(edges, sizes)

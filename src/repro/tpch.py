@@ -5,7 +5,8 @@ the same pandas frames* (so both engines see identical bytes).
 Also owns the session configuration that keeps the experiment clean:
 Spark's own runtime bloom-filter / semi-join-reduction injection is
 turned off, otherwise the No-Pred-Trans and Bloom-Join baselines would
-be silently predicate-transferred by Catalyst itself.
+be silently predicate-transferred by Catalyst itself, and generated
+classes are shared across codegen stage ids (``configure_session``).
 """
 from dataclasses import dataclass, field
 from typing import Dict
@@ -28,13 +29,21 @@ TABLES = (
 )
 
 
-def disable_spark_runtime_filters(spark: SparkSession) -> None:
+def configure_session(spark: SparkSession) -> None:
     """Turn off Catalyst's built-in runtime filtering so the four
-    strategies under test are the only source of pre-filtering."""
+    strategies under test are the only source of pre-filtering.
+
+    Also name generated classes without their whole-stage-codegen stage
+    id, so equal code at another stage id (a plan with one more stage
+    below it, such as Pred-Trans's observed join inputs) reuses the
+    compiled class: Spark keeps 100 compiled classes, and the four
+    strategies sharing a session otherwise evicted each other's, each
+    round of q04 runs (SF 0.004, local[2]) recompiling about 20."""
     spark.conf.set("spark.sql.optimizer.runtime.bloomFilter.enabled", "false")
     spark.conf.set(
         "spark.sql.optimizer.runtimeFilter.semiJoinReduction.enabled", "false"
     )
+    spark.conf.set("spark.sql.codegen.useIdInClassName", "false")
 
 
 @dataclass
@@ -53,7 +62,7 @@ class TPCHData:
 def generate(spark: SparkSession, *, sf: float, persist: bool = True) -> TPCHData:
     """Generate every base table at ``sf``; optionally persist + force the
     Spark copies so repeated strategy runs do not re-pay Arrow conversion."""
-    disable_spark_runtime_filters(spark)
+    configure_session(spark)
     pdfs = {
         "lineitem": synth_data.lineitem_pdf(sf=sf),
         "orders": synth_data.orders_pdf(sf=sf),

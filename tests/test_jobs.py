@@ -1,5 +1,7 @@
 """Smoke tests for the job entrypoints (called as functions with a tiny
 SF; the CLI wrappers only add argparse + a session)."""
+import re
+
 import jobs.robustness_q5 as robustness_q5
 import jobs.run_query as run_query_job
 import jobs.table1_q5 as table1_q5
@@ -44,5 +46,11 @@ def test_robustness_job(spark):
 def test_run_query_job(spark):
     rr, data = run_query_job.run(spark, "q03", "pred_trans", SF, verify=True)
     assert rr.rows
+    lines = run_query_job.format_sizes(rr).splitlines()
+    parsed = [re.fullmatch(r"  (\w+): (\d+) → (\d+)", line) for line in lines]
+    assert all(parsed), lines
+    assert [m[1] for m in parsed] == ["customer", "orders", "lineitem"]
+    for m in parsed:
+        assert int(m[2]) == rr.sizes[m[1]] >= int(m[3]) == rr.reduced_sizes[m[1]]
     rr.cleanup()
     data.unpersist()

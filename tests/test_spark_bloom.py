@@ -1,4 +1,6 @@
 """Distributed Bloom build/probe tests over Spark DataFrames."""
+import math
+
 import pandas as pd
 import pytest
 from py4j.java_gateway import JavaClass
@@ -129,6 +131,7 @@ class TestSparkInternals:
         assert isinstance(spark_bloom._jvm(spark, name), JavaClass), (
             f"Spark {spark.version} has no class {name}"
         )
+        assert spark_bloom._jvm(spark, name) is spark_bloom._jvm(spark, name), "looked up once"
 
     def test_both_expressions_build_and_header_version(self, spark):
         df = spark.range(100).withColumnRenamed("id", "k")
@@ -143,8 +146,9 @@ class TestSparkInternals:
             spark_bloom.jvm_column(spark, spark_bloom.MIGHT_CONTAIN, F.lit(1))
 
     def test_missing_class_is_named(self, spark):
-        with pytest.raises(RuntimeError, match="NoSuchExpression"):
-            spark_bloom.jvm_column(spark, "org.apache.spark.sql.catalyst.NoSuchExpression")
+        for _lookup in ("first", "cached"):
+            with pytest.raises(RuntimeError, match="NoSuchExpression"):
+                spark_bloom.jvm_column(spark, "org.apache.spark.sql.catalyst.NoSuchExpression")
 
     def test_unknown_header_version_rejected(self):
         with pytest.raises(RuntimeError, match="version 1"):
@@ -157,9 +161,22 @@ class TestSparkInternals:
         df = spark.range(10_000).withColumnRenamed("id", "k")
         spec = BloomSpec(("k",), 10_000)
         try:
-            (full,) = build_blooms(df, [spec])
-            (empty,) = build_blooms(df.filter("k < 0"), [spec])
+            with pytest.warns(RuntimeWarning) as clamped:
+                (full,) = build_blooms(df, [spec])
+                (empty,) = build_blooms(df.filter("k < 0"), [spec])
         finally:
             spark.conf.set(key, old)
         assert full.n_bits == empty.n_bits == 4096
         assert empty.bit_count == 0 and full.bit_count > 0
+        # The warning names the keys, both sizes and the estimated rate.
+        fpp = (1 - math.exp(-full.n_hashes * 10_000 / 4096)) ** full.n_hashes
+        assert fpp > spec.fpp
+        messages = [str(w.message) for w in clamped if w.category is RuntimeWarning]
+        assert len(messages) == 2, "one warning per clamped filter"
+        for msg in messages:
+            assert "on k:" in msg and f"{spec.params()[0]} bits requested" in msg
+            assert "4096 granted" in msg and f"{fpp:.3g}" in msg
+
+    def test_unclamped_build_does_not_warn(self, spark, recwarn):
+        build_blooms(spark.range(100).withColumnRenamed("id", "k"), [BloomSpec(("k",), 100)])
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
