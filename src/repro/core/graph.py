@@ -1,5 +1,6 @@
 """Join-graph algorithms: predicate-transfer-graph orientation, topological
-scheduling, and the BFS join tree used by the Yannakakis baseline.
+scheduling, the BFS join tree used by the Yannakakis baseline, and the
+transfer schedules (``dag_steps``, ``tree_steps``) the transfer walker runs.
 
 Orientation implements the paper's §3.2 heuristic verbatim: every
 join-graph edge is kept and pointed from the smaller table to the
@@ -27,6 +28,10 @@ class DirectedEdge:
     dst: str
     dst_cols: Tuple[str, ...]
     edge: Edge
+
+
+#: One step of a transfer schedule: a source table and its out-edges.
+Step = Tuple[str, List[DirectedEdge]]
 
 
 def _directed(edge: Edge, src: str) -> DirectedEdge:
@@ -147,3 +152,26 @@ def bfs_join_tree(nodes: Sequence[str], edges: Sequence[Edge], root: str) -> Joi
         raise ValueError(f"join graph disconnected from root {root}: missing {set(nodes)-seen}")
     dropped = [e for e in edges if e.transfer != "none" and id(e) not in used_edges]
     return JoinTree(root=root, parent=parent, bfs_order=order, dropped_edges=dropped)
+
+
+def dag_steps(dag: Sequence[DirectedEdge], node_order: Sequence[str]) -> List[Step]:
+    """One pass over a transfer DAG: a step per node of ``node_order``
+    that has out-edges, carrying them in ``dag`` order."""
+    outs: Dict[str, List[DirectedEdge]] = {}
+    for d in dag:
+        outs.setdefault(d.src, []).append(d)
+    return [(t, outs[t]) for t in node_order if t in outs]
+
+
+def tree_steps(tree: JoinTree) -> List[Step]:
+    """Yannakakis's passes over a join tree: child→parent in reverse BFS
+    order (each child already reduced by its children), then parent→
+    children in BFS order; each only where ``can_transfer_from`` allows."""
+    up, down = [], {t: [] for t in tree.bfs_order}
+    for child in tree.bfs_order[1:]:
+        parent, e = tree.parent[child]
+        if e.can_transfer_from(child):
+            up.append((child, [_directed(e, child)]))
+        if e.can_transfer_from(parent):
+            down[parent].append(_directed(e, parent))
+    return up[::-1] + [(t, down[t]) for t in tree.bfs_order if down[t]]

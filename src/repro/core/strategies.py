@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce as _reduce
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -30,9 +30,8 @@ from pyspark.sql import functions as F
 
 from repro.bloom.spark_bloom import BloomSpec, build_blooms
 from repro.core.executor import JoinMeasure, execute_join_phase
-from repro.core.semijoin import yannakakis_reduce
-from repro.core.spec import QuerySpec
-from repro.core.transfer import TransferStats, predicate_transfer
+from repro.core.spec import QuerySpec, validate
+from repro.core.transfer import TransferStats, predicate_transfer, yannakakis_reduce
 
 STRATEGIES = ("no_pred_trans", "bloom_join", "yannakakis", "pred_trans")
 
@@ -214,12 +213,19 @@ def run_query(
     collect: bool = True,
 ) -> RunResult:
     """Execute ``spec`` under ``strategy``. The caller should invoke
-    ``result.cleanup()`` once done with ``result.df``."""
+    ``result.cleanup()`` once done with ``result.df``. Raises
+    ``ValueError`` before any Spark job if the spec, with ``join_order``
+    in place of its own, is invalid or ``yann_root`` is not a spec table."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    order = list(join_order or spec.join_order)
+    problems = validate(replace(spec, join_order=order))
+    if yann_root is not None and yann_root not in spec.tables:
+        problems.append(f"yann_root {yann_root!r} is not a table of {spec.name}")
+    if problems:
+        raise ValueError(f"{spec.name}: " + "; ".join(problems))
     res = RunResult(query=spec.name, strategy=strategy, df=None)  # type: ignore[arg-type]
     tables = _resolve_tables(spark, spec, strategy, fpp, res)
-    order = list(join_order or spec.join_order)
 
     t0 = time.perf_counter()
     step_blooms = None

@@ -3,9 +3,11 @@ import pytest
 
 from repro.core.graph import (
     bfs_join_tree,
+    dag_steps,
     orient,
     reverse_dag,
     topological_order,
+    tree_steps,
 )
 from repro.core.spec import Edge
 
@@ -203,3 +205,51 @@ class TestBfsJoinTree:
         t1 = bfs_join_tree(list(_Q5_SIZES), _q5ish_edges(), "lineitem")
         t2 = bfs_join_tree(list(_Q5_SIZES), _q5ish_edges(), "region")
         assert t1.bfs_order != t2.bfs_order
+
+
+def _moves(steps):
+    """Steps as (src, dst of each out-edge...), for comparison."""
+    return [(src, *[d.dst for d in outs]) for src, outs in steps]
+
+
+class TestSchedules:
+    def test_dag_steps_on_chain(self):
+        sizes = {"R": 3, "S": 4, "T": 3}  # S biggest: R→S and T→S
+        dag = orient(_chain_edges(), sizes)
+        topo = topological_order(list(sizes), dag)
+        assert _moves(dag_steps(dag, topo)) == [("R", "S"), ("T", "S")]
+        back = dag_steps(reverse_dag(dag), topo[::-1])
+        assert _moves(back) == [("S", "R", "T")]
+        assert [(d.src_cols, d.dst_cols) for d in back[0][1]] == [
+            (("s_a",), ("r_a",)),
+            (("s_b",), ("t_b",)),
+        ]
+
+    @pytest.mark.parametrize(
+        "root,expected",
+        [
+            ("R", [("T", "S"), ("S", "R"), ("R", "S"), ("S", "T")]),
+            ("S", [("T", "S"), ("R", "S"), ("S", "R", "T")]),
+            ("T", [("R", "S"), ("S", "T"), ("T", "S"), ("S", "R")]),
+        ],
+    )
+    def test_tree_steps_up_then_down(self, root, expected):
+        steps = tree_steps(bfs_join_tree(["R", "S", "T"], _chain_edges(), root))
+        assert _moves(steps) == expected
+        for src, outs in steps:
+            for d in outs:
+                assert d.src == src and d.src_cols == d.edge.cols_of(src)
+                assert d.dst_cols == d.edge.cols_of(d.dst)
+
+    @pytest.mark.parametrize("root", ["R", "S", "T"])
+    def test_tree_steps_keep_ltr_edge_one_way(self, root):
+        edges = [
+            Edge("R", ("r_a",), "S", ("s_a",), transfer="ltr"),
+            Edge("S", ("s_b",), "T", ("t_b",)),
+        ]
+        moves = {
+            (d.src, d.dst)
+            for _, outs in tree_steps(bfs_join_tree(["R", "S", "T"], edges, root))
+            for d in outs
+        }
+        assert moves == {("R", "S"), ("S", "T"), ("T", "S")}

@@ -1,6 +1,7 @@
 """Figure-4 machinery: Q5 under alternative join orders must produce
 identical results for every strategy (conditions are derived from the
-edge set, not the order)."""
+edge set, not the order); an order or a Yannakakis root that does not
+fit the spec is refused before any Spark job."""
 import pytest
 
 from repro import queries
@@ -28,3 +29,24 @@ def test_orders_are_permutations():
 
 def test_orders_differ():
     assert len({tuple(o) for o in JOIN_ORDERS.values()}) == 3
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"join_order": JOIN_ORDERS["order1"][:-1]}, "does not cover tables"),
+        ({"join_order": JOIN_ORDERS["order1"] + ["nation"]}, "duplicates"),
+        ({"yann_root": "nope"}, "yann_root 'nope'"),
+    ],
+    ids=["missing_table", "duplicate_table", "unknown_root"],
+)
+def test_bad_order_or_root_rejected_before_any_job(spark, tpch_small, kwargs, message):
+    spec = queries.build("q05", tpch_small.spark)
+    sc = spark.sparkContext
+    sc.setJobGroup("rejected-run", "run_query with a bad argument")
+    try:
+        with pytest.raises(ValueError, match=message):
+            run_query(spark, spec, "yannakakis", **kwargs)
+        assert sc.statusTracker().getJobIdsForGroup("rejected-run") == []
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)

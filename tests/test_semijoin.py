@@ -3,8 +3,8 @@ acyclic queries, cycle breaking, and §3.4 direction restrictions."""
 import pandas as pd
 import pytest
 
-from repro.core.semijoin import yannakakis_reduce
 from repro.core.spec import Edge
+from repro.core.transfer import yannakakis_reduce
 
 CHAIN = lambda: [
     Edge("R", ("r_a",), "S", ("s_a",)),

@@ -1,10 +1,19 @@
 """Predicate-transfer phase tests on the toy chain: soundness (no
 contributing row lost), effectiveness (dangling rows dropped modulo
-false positives), single-scan filter construction, §3.4 restrictions."""
+false positives), single-scan filter construction, §3.4 restrictions,
+and the nesting of the reductions: exact ⊆ Pred-Trans ⊆ input."""
 import pytest
 
+from repro import queries
 from repro.core.spec import Edge
-from repro.core.transfer import predicate_transfer
+from repro.core.strategies import _count_all
+from repro.core.transfer import (
+    apply_semi_joins,
+    predicate_transfer,
+    run_steps,
+    send_tables,
+    yannakakis_reduce,
+)
 
 CHAIN = lambda: [
     Edge("R", ("r_a",), "S", ("s_a",)),
@@ -129,3 +138,33 @@ class TestRestrictions:
         reduced, _ = predicate_transfer(toy2, edges, {"S": 4, "P": 3}, fpp=0.001)
         assert _set(reduced["P"], "p_a", "p_b") == {(1, 10), (2, 12)}
         assert _set(reduced["S"], "s_a", "s_b") == {(1, 10), (2, 12)}
+
+
+def _nested(tables, edges, sizes):
+    """Pred-Trans's output and exact semi-joins over the schedule it ran;
+    asserts exact ⊆ Pred-Trans ⊆ input for every table."""
+    reduced, stats = predicate_transfer(tables, edges, sizes)
+    received = run_steps(tables, stats.steps, send_tables, apply_semi_joins)
+    exact = {t: apply_semi_joins(df, received[t]) for t, df in tables.items()}
+    for t, df in tables.items():
+        assert exact[t].exceptAll(reduced[t]).count() == 0, t
+        assert reduced[t].exceptAll(df).count() == 0, t
+    return exact
+
+
+class TestReductionsNest:
+    def test_chain(self, toy):
+        exact = _nested(toy, CHAIN(), SIZES)
+        # Acyclic: exact transfer over the DAG is Yannakakis's full reducer.
+        yann, _ = yannakakis_reduce(toy, CHAIN(), "R")
+        for t in toy:
+            assert exact[t].exceptAll(yann[t]).count() == 0, t
+            assert yann[t].exceptAll(exact[t]).count() == 0, t
+
+    def test_q05(self, tpch_small):
+        spec = queries.build("q05", tpch_small.spark)
+        tables = {
+            t: ref.df if ref.predicate is None else ref.df.filter(ref.predicate)
+            for t, ref in spec.tables.items()
+        }
+        _nested(tables, spec.edges, _count_all(tables))
