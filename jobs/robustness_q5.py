@@ -5,7 +5,6 @@ every order and has the smallest variance across orders.
 Usage: spark-submit jobs/robustness_q5.py [--sf 0.1]
 """
 import argparse
-import sys
 from typing import Dict
 
 from pyspark.sql import SparkSession
@@ -13,6 +12,7 @@ from pyspark.sql import SparkSession
 from repro import queries, tpch
 from repro.core.strategies import STRATEGIES, run_query
 from repro.queries.q05 import JOIN_ORDERS
+from repro.session import get_spark
 
 
 def run(spark: SparkSession, sf: float) -> Dict[str, Dict[str, float]]:
@@ -51,12 +51,9 @@ def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sf", type=float, default=0.1)
     args = ap.parse_args(argv)
-    from jobs._session import get_spark
-
     spark = get_spark("robustness_q5")
     print(format_table(run(spark, args.sf), args.sf))
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, ".")
     main()

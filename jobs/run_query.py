@@ -4,12 +4,12 @@ phase timings; optionally verify against the DuckDB oracle.
 Usage: spark-submit jobs/run_query.py --query q05 --strategy pred_trans [--sf 0.1] [--verify]
 """
 import argparse
-import sys
 
 from pyspark.sql import SparkSession
 
 from repro import queries, tpch
 from repro.core.strategies import STRATEGIES, run_query
+from repro.session import get_spark
 
 
 def run(spark: SparkSession, name: str, strategy: str, sf: float, verify: bool = False):
@@ -39,8 +39,6 @@ def main(argv=None) -> None:
     ap.add_argument("--sf", type=float, default=0.1)
     ap.add_argument("--verify", action="store_true")
     args = ap.parse_args(argv)
-    from jobs._session import get_spark
-
     spark = get_spark("run_query")
     rr, data = run(spark, args.query, args.strategy, args.sf, args.verify)
     print(f"{args.query} [{args.strategy}] rows={len(rr.rows)}")
@@ -61,5 +59,4 @@ def main(argv=None) -> None:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, ".")
     main()

@@ -5,13 +5,13 @@ four strategies.
 Usage: spark-submit jobs/table1_q5.py [--sf 0.1]
 """
 import argparse
-import sys
 from typing import Dict, List
 
 from pyspark.sql import SparkSession
 
 from repro import queries, tpch
 from repro.core.strategies import STRATEGIES, run_query
+from repro.session import get_spark
 
 #: Paper's Table 1 (TPC-H SF1), for side-by-side printing.
 PAPER_TABLE1 = {
@@ -54,8 +54,6 @@ def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sf", type=float, default=0.1)
     args = ap.parse_args(argv)
-    from jobs._session import get_spark
-
     spark = get_spark("table1_q5")
     measured = run(spark, args.sf)
     print(format_table(measured, args.sf))
@@ -64,5 +62,4 @@ def main(argv=None) -> None:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, ".")
     main()

@@ -5,7 +5,6 @@ phase breakdown (pre-filter vs join time) for each run.
 Usage: spark-submit jobs/tpch_sweep.py [--sf 0.1] [--queries q03,q05] [--repeat 1]
 """
 import argparse
-import sys
 
 import numpy as np
 from dataclasses import dataclass
@@ -15,6 +14,7 @@ from pyspark.sql import SparkSession
 
 from repro import queries, tpch
 from repro.core.strategies import STRATEGIES, run_query
+from repro.session import get_spark
 
 
 @dataclass
@@ -91,13 +91,10 @@ def main(argv=None) -> None:
     ap.add_argument("--queries", type=str, default=",".join(queries.ALL))
     ap.add_argument("--repeat", type=int, default=1)
     args = ap.parse_args(argv)
-    from jobs._session import get_spark
-
     spark = get_spark("tpch_sweep")
     results = run(spark, args.sf, args.queries.split(","), repeat=args.repeat)
     print(format_tables(results, args.sf))
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, ".")
     main()

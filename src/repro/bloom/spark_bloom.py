@@ -7,9 +7,11 @@ with a ``BloomFilterAggregate`` per outgoing filter: N filters, one
 scan. Probe (``apply_blooms``) is one ``df.filter`` over the AND of a
 ``BloomFilterMightContain`` per received filter, its bytes a literal.
 Both sides hash ``xxhash64`` of the keys with every numeric key cast to
-``double``, so values Spark's join finds equal (an int and an equal
-float or decimal, ``-0.0`` and ``0.0``) hash equally; distinct values
-can only collide, giving false positives, never false negatives.
+``double`` and every date or ``timestamp_ntz`` key to ``timestamp``, so
+values Spark's join finds equal (an int and an equal float or decimal,
+``-0.0`` and ``0.0``, a date and its midnight timestamp) hash equally;
+distinct values can only collide, giving false positives, never false
+negatives.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from py4j.protocol import Py4JError
 from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.classic.column import Column as ClassicColumn
-from pyspark.sql.types import NumericType
+from pyspark.sql.types import DateType, NumericType, TimestampNTZType
 
 from repro.bloom.filter import optimal_params
 
@@ -104,10 +106,16 @@ def jvm_column(spark: SparkSession, name: str, *args: Column, agg: bool = False)
         raise RuntimeError(f"{msg} through {EXPRESSION_UTILS}") from e
 
 
+_HASH_AS = ((NumericType, "double"), ((DateType, TimestampNTZType), "timestamp"))
+
+
 def _key_hash(df: DataFrame, cols: Sequence[str]) -> Column:
-    """``xxhash64`` of the key columns, every numeric one as ``double``."""
-    numeric = {f.name for f in df.schema.fields if isinstance(f.dataType, NumericType)}
-    return F.xxhash64(*[F.col(c).cast("double") if c in numeric else F.col(c) for c in cols])
+    """``xxhash64`` of the key columns, numeric ones as ``double``, dates
+    and ``timestamp_ntz`` as ``timestamp``, so keys that Spark's join
+    finds equal after coercing them (a date to ``timestamp``, or to
+    ``timestamp_ntz`` against one) hash equally."""
+    cast = {f.name: to for f in df.schema.fields for kind, to in _HASH_AS if isinstance(f.dataType, kind)}
+    return F.xxhash64(*[F.col(c).cast(cast[c]) if c in cast else F.col(c) for c in cols])
 
 
 def _empty_filter(spark: SparkSession, items: int, n_bits: int) -> bytes:

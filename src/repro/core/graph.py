@@ -1,6 +1,7 @@
 """Join-graph algorithms: predicate-transfer-graph orientation, topological
 scheduling, the BFS join tree used by the Yannakakis baseline, and the
-transfer schedules (``dag_steps``, ``tree_steps``) the transfer walker runs.
+transfer schedules of the three pre-filter strategies (``dag_steps``,
+``tree_steps``, ``order_steps``).
 
 Orientation implements the paper's §3.2 heuristic verbatim: every
 join-graph edge is kept and pointed from the smaller table to the
@@ -175,3 +176,17 @@ def tree_steps(tree: JoinTree) -> List[Step]:
         if e.can_transfer_from(parent):
             down[parent].append(_directed(e, parent))
     return up[::-1] + [(t, down[t]) for t in tree.bfs_order if down[t]]
+
+
+def order_steps(edges: Sequence[Edge], order: Sequence[str]) -> List[Step]:
+    """Bloom Join's schedule: as each table of the left-deep ``order``
+    joins, it sends over its edges to the tables placed before it, where
+    ``can_transfer_from`` allows."""
+    rank = {t: i for i, t in enumerate(order)}
+    back = [
+        _directed(e, t)
+        for e in edges
+        for t in (e.left, e.right)
+        if rank[e.other(t)] < rank[t] and e.can_transfer_from(t)
+    ]
+    return dag_steps(back, order)

@@ -151,10 +151,12 @@ def validate(spec: QuerySpec) -> List[str]:
     """Structural sanity checks; returns a list of problems (empty = ok)."""
     problems: List[str] = []
     sub_names = {s.name for s in spec.subqueries}
-    if sorted(spec.join_order) != sorted(set(spec.join_order)):
-        problems.append("join_order has duplicates")
-    if set(spec.join_order) != set(spec.tables):
-        problems.append("join_order does not cover tables exactly")
+    if dups := sorted({t for t in spec.join_order if spec.join_order.count(t) > 1}):
+        problems.append(f"join_order has duplicates: {dups}")
+    missing = sorted(set(spec.tables) - set(spec.join_order))
+    unknown = sorted(set(spec.join_order) - set(spec.tables))
+    if missing or unknown:
+        problems.append(f"join_order does not cover tables exactly: missing {missing}, unknown {unknown}")
     for name, ref in spec.tables.items():
         if ref.subquery is not None and ref.subquery not in sub_names:
             problems.append(f"table {name} references unknown subquery {ref.subquery}")

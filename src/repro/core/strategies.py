@@ -28,10 +28,12 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
-from repro.bloom.spark_bloom import BloomSpec, build_blooms
+# Unused here; perfbench's tracer (spans.WRAPS) still wraps this name.
+from repro.bloom.spark_bloom import build_blooms  # noqa: F401
 from repro.core.executor import JoinMeasure, execute_join_phase
+from repro.core.graph import order_steps
 from repro.core.spec import QuerySpec, validate
-from repro.core.transfer import TransferStats, predicate_transfer, yannakakis_reduce
+from repro.core.transfer import TransferStats, bloom_sender, predicate_transfer, yannakakis_reduce
 
 STRATEGIES = ("no_pred_trans", "bloom_join", "yannakakis", "pred_trans")
 
@@ -183,22 +185,10 @@ def _observed_counts(
 
 
 def _bloom_join_step_blooms(spec, tables, sizes, order, fpp):
-    """One-hop blooms: for each incoming table, one filter per legal
-    connecting edge, built from its locally-filtered rows in one scan."""
-    step_blooms: Dict[str, List[Tuple[Tuple[str, ...], object]]] = {}
-    placed = {order[0]}
-    for t in order[1:]:
-        wanted = []  # (build cols on t, probe cols on acc)
-        for e in spec.connecting_edges(t, placed):
-            if e.can_transfer_from(t):
-                wanted.append((e.cols_of(t), e.cols_of(e.other(t))))
-        if wanted:
-            key_sets = sorted({w[0] for w in wanted})
-            specs = [BloomSpec(ks, sizes[t], fpp) for ks in key_sets]
-            blooms = dict(zip(key_sets, build_blooms(tables[t], specs)))
-            step_blooms[t] = [(probe_cols, blooms[build_cols]) for build_cols, probe_cols in wanted]
-        placed.add(t)
-    return step_blooms
+    """One-hop blooms: each incoming table's filters for the tables
+    already placed, built from its locally-filtered rows in one scan."""
+    send = bloom_sender(sizes, fpp)
+    return {t: send(t, tables[t], outs) for t, outs in order_steps(spec.edges, order)}
 
 
 def run_query(

@@ -1,20 +1,24 @@
-"""The pre-filter phase of Pred-Trans and Yannakakis: one walker over a
-schedule of directed transfers, with a Bloom and an exact reduction.
+"""The pre-filter phase: one walker over a schedule of directed
+transfers, with a Bloom and an exact reduction.
 
-A schedule (``graph.dag_steps``, ``graph.tree_steps``) lists steps
-``(src, [DirectedEdge])``. At each step ``run_steps`` reduces ``src`` by
-all it has received so far (``apply``), and ``send`` turns that into one
-message per out-edge, queued for the edge's destination. A table's
-reduced form is ``apply`` over everything it received.
+A schedule (``graph.dag_steps``, ``graph.tree_steps``,
+``graph.order_steps``) lists steps ``(src, [DirectedEdge])``. At each
+step ``send`` turns ``src``, reduced by all it has received so far, into
+one message per out-edge. ``run_steps`` queues each message for the
+edge's destination and applies a table's queued messages once
+(``apply``): when the table next sends, or at the end.
 
 - **Pred-Trans** (the paper's contribution, §3.2): a forward pass over
   the small→big DAG in topological order, then a backward pass over the
   reversed DAG (minus §3.4 one-way edges). A step builds one Bloom filter
   per distinct key set of its out-edges in a single scan
-  (``build_blooms``); ``apply_blooms`` probes them. The reduced tables
+  (``bloom_sender``); ``apply_blooms`` probes them. The reduced tables
   stay lazy for the join phase's scans to probe. Sound by construction:
   a Bloom filter has no false negatives, so only rows whose join key is
   absent from the (already reduced) neighbour are dropped.
+- **Bloom Join** (§2.1) sends with the same ``bloom_sender`` over
+  ``order_steps``, but its filters probe the accumulated join plan
+  (``executor.execute_join_phase``), so it does not walk ``run_steps``.
 - **Yannakakis** (§2.2, evaluated in §4): child→parent then
   parent→child over a BFS join tree (cycle edges dropped, the paper's
   §4.1 extension for cyclic queries). A message is the reduced source
@@ -44,7 +48,10 @@ class TransferStats:
     dag: List[DirectedEdge]
     topo: List[str]
     steps: List[Step]
-    received: Dict[str, int]  # table -> #filters
+
+    @property
+    def received(self) -> Dict[str, int]:  # table -> #filters
+        return {t: sum(d.dst == t for _, outs in self.steps for d in outs) for t in self.topo}
 
     @property
     def n_scans(self) -> int:  # table scans used to build filters
@@ -61,13 +68,34 @@ class TransferStats:
 
 def run_steps(
     tables: Mapping[str, DataFrame], steps: Sequence[Step], send: Callable, apply: Callable
-) -> Dict[str, list]:
-    """Walk ``steps``; returns every table's received messages in order."""
-    received: Dict[str, list] = {t: [] for t in tables}
+) -> Dict[str, DataFrame]:
+    """Walk ``steps``; returns every table reduced by all it received,
+    each message applied once."""
+    current = dict(tables)
+    pending: Dict[str, list] = {t: [] for t in tables}
+
+    def reduced(t: str) -> DataFrame:
+        if pending[t]:
+            current[t], pending[t] = apply(current[t], pending[t]), []
+        return current[t]
+
     for src, outs in steps:
-        for d, msg in zip(outs, send(src, apply(tables[src], received[src]), outs)):
-            received[d.dst].append(msg)
-    return received
+        for d, msg in zip(outs, send(src, reduced(src), outs)):
+            pending[d.dst].append(msg)
+    return {t: reduced(t) for t in tables}
+
+
+def bloom_sender(sizes: Mapping[str, int], fpp: float) -> Callable:
+    """The Bloom reduction's ``send``: one filter per distinct key set of
+    the out-edges, all built in one scan, sized by the sender's ``sizes``."""
+
+    def send(src: str, df: DataFrame, outs: List[DirectedEdge]) -> list:
+        key_sets = sorted({d.src_cols for d in outs})
+        specs = [BloomSpec(ks, sizes.get(src, 1), fpp) for ks in key_sets]
+        blooms = dict(zip(key_sets, build_blooms(df, specs)))
+        return [(d.dst_cols, blooms[d.src_cols]) for d in outs]
+
+    return send
 
 
 def predicate_transfer(
@@ -78,21 +106,13 @@ def predicate_transfer(
 ) -> Tuple[Dict[str, DataFrame], TransferStats]:
     """Run both passes; returns per-table reduced DataFrames and the
     transfer statistics. The reduced tables are lazy: each is its input
-    plus one filter over every Bloom filter it received, which the join
+    plus the filters over every Bloom filter it received, which the join
     phase's scans apply (nothing is materialized here)."""
     dag = orient(edges, sizes)
     topo = topological_order(list(tables), dag)
     steps = dag_steps(dag, topo) + dag_steps(reverse_dag(dag), topo[::-1])
-
-    def send(src: str, df: DataFrame, outs: List[DirectedEdge]) -> list:
-        key_sets = sorted({d.src_cols for d in outs})
-        specs = [BloomSpec(ks, sizes.get(src, 1), fpp) for ks in key_sets]
-        blooms = dict(zip(key_sets, build_blooms(df, specs)))
-        return [(d.dst_cols, blooms[d.src_cols]) for d in outs]
-
-    received = run_steps(tables, steps, send, apply_blooms)
-    reduced = {t: apply_blooms(df, received[t]) for t, df in tables.items()}
-    return reduced, TransferStats(dag, topo, steps, {t: len(r) for t, r in received.items()})
+    reduced = run_steps(tables, steps, bloom_sender(sizes, fpp), apply_blooms)
+    return reduced, TransferStats(dag, topo, steps)
 
 
 def send_tables(src: str, df: DataFrame, outs: List[DirectedEdge]) -> list:
@@ -116,5 +136,4 @@ def yannakakis_reduce(
     """Both semi-join passes over the BFS join tree from ``root``;
     returns the reduced (lazy) tables and the tree used."""
     tree = bfs_join_tree(list(tables), edges, root)
-    received = run_steps(tables, tree_steps(tree), send_tables, apply_semi_joins)
-    return {t: apply_semi_joins(df, received[t]) for t, df in tables.items()}, tree
+    return run_steps(tables, tree_steps(tree), send_tables, apply_semi_joins), tree

@@ -4,6 +4,7 @@ import pytest
 from repro.core.graph import (
     bfs_join_tree,
     dag_steps,
+    order_steps,
     orient,
     reverse_dag,
     topological_order,
@@ -253,3 +254,20 @@ class TestSchedules:
             for d in outs
         }
         assert moves == {("R", "S"), ("S", "T"), ("T", "S")}
+
+    def test_order_steps(self):
+        """Bloom Join: each joining table sends to the tables placed
+        before it, and only where the edge allows that direction."""
+        forward = order_steps(_chain_edges(), ["R", "S", "T"])
+        assert _moves(forward) == [("S", "R"), ("T", "S")]
+        assert [(d.src_cols, d.dst_cols) for _, outs in forward for d in outs] == [
+            (("s_a",), ("r_a",)),
+            (("t_b",), ("s_b",)),
+        ]
+        assert _moves(order_steps(_chain_edges(), ["T", "S", "R"])) == [("S", "T"), ("R", "S")]
+        ltr = [
+            Edge("R", ("r_a",), "S", ("s_a",), transfer="ltr"),
+            Edge("S", ("s_b",), "T", ("t_b",)),
+        ]
+        assert _moves(order_steps(ltr, ["R", "S", "T"])) == [("T", "S")]
+        assert _moves(order_steps(ltr, ["T", "S", "R"])) == [("S", "T"), ("R", "S")]

@@ -1,7 +1,9 @@
 """Join keys whose two sides differ in numeric type (or in the sign of a
-floating zero): every strategy must still return the oracle's rows.
+floating zero, or are a date and a timestamp): every strategy must
+still return the oracle's rows.
 A Bloom filter that hashes equal values of different types differently
 silently drops joinable rows under Bloom Join and Pred-Trans."""
+from datetime import date, datetime
 from decimal import Decimal
 
 import pytest
@@ -19,6 +21,10 @@ KEY_EDGES = {
         "int", [1, 2, 3, 5], "decimal(10,2)", [Decimal(v) for v in ("1.00", "2.50", "3", "4.0")]
     ),
     "negative_zero": ("double", [0.0, 1.0, 2.0], "double", [-0.0, 2.0, 3.0]),
+    "date_timestamp": (
+        "date", [date(2020, 1, d) for d in (1, 2, 5)],
+        "timestamp", [datetime(2020, 1, d) for d in (1, 3, 5)],
+    ),
 }
 
 ORACLE = "SELECT l_id, r_id FROM lhs JOIN rhs ON l_k = r_k"
@@ -35,12 +41,10 @@ def key_edge(request, spark):
     return {"lhs": _table(spark, "l", lt, lkeys), "rhs": _table(spark, "r", rt, rkeys)}
 
 
-@pytest.mark.parametrize("order", [["lhs", "rhs"], ["rhs", "lhs"]])
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_mixed_key_types_match_oracle(spark, key_edge, strategy, order):
+def _check(spark, tables, strategy, order):
     spec = QuerySpec(
         name="key_types",
-        tables={t: TableRef(df=df) for t, df in key_edge.items()},
+        tables={t: TableRef(df=df) for t, df in tables.items()},
         edges=[Edge("lhs", ("l_k",), "rhs", ("r_k",))],
         join_order=order,
         finalize=lambda df, scalars: df.select("l_id", "r_id"),
@@ -48,6 +52,29 @@ def test_mixed_key_types_match_oracle(spark, key_edge, strategy, order):
     rr = run_query(spark, spec, strategy)
     try:
         assert rr.rows, "every key edge has at least one joining pair"
-        assert_equivalent(rr.df, ORACLE, **key_edge)
+        assert_equivalent(rr.df, ORACLE, **tables)
     finally:
         rr.cleanup()
+
+
+@pytest.mark.parametrize("order", [["lhs", "rhs"], ["rhs", "lhs"]])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_mixed_key_types_match_oracle(spark, key_edge, strategy, order):
+    _check(spark, key_edge, strategy, order)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_date_timestamp_ntz_keys_outside_utc(spark, strategy):
+    """The join casts a date to ``timestamp_ntz`` (wall-clock midnight);
+    the hashes must agree whatever the session time zone."""
+    conf = "spark.sql.session.timeZone"
+    zone = spark.conf.get(conf)
+    spark.conf.set(conf, "America/Los_Angeles")
+    try:
+        tables = {
+            "lhs": _table(spark, "l", "date", [date(2020, 1, d) for d in (1, 2, 5)]),
+            "rhs": _table(spark, "r", "timestamp_ntz", [datetime(2020, 1, d) for d in (1, 3, 5)]),
+        }
+        _check(spark, tables, strategy, ["lhs", "rhs"])
+    finally:
+        spark.conf.set(conf, zone)

@@ -32,4 +32,6 @@ def test_transfer_calls_bloom_functions_through_its_globals(toy, monkeypatch):
     edges = [Edge("R", ("r_a",), "S", ("s_a",)), Edge("S", ("s_b",), "T", ("t_b",))]
     _, stats = transfer.predicate_transfer(toy, edges, {"R": 3, "S": 4, "T": 3})
     assert calls.count("build_blooms") == stats.n_scans == 3
-    assert calls.count("apply_blooms") == stats.n_scans + len(toy)
+    # Each table's received filters are probed once: S's two forward ones
+    # before it sends backward, then R's and T's at the end.
+    assert calls.count("apply_blooms") == 3

@@ -3,6 +3,9 @@ acyclic queries, cycle breaking, and §3.4 direction restrictions."""
 import pandas as pd
 import pytest
 
+from repro import queries
+from repro.core import transfer
+from repro.core.graph import bfs_join_tree, tree_steps
 from repro.core.spec import Edge
 from repro.core.transfer import yannakakis_reduce
 
@@ -90,3 +93,30 @@ class TestCyclicAndRestricted:
     def test_tree_root_is_requested(self, toy):
         _, tree = yannakakis_reduce(toy, CHAIN(), "T")
         assert tree.root == "T" and tree.bfs_order[0] == "T"
+
+
+class TestEachTransferOnce:
+    """``apply_semi_joins`` builds one ``LEFT SEMI`` join per transfer of
+    the join tree: a received table is joined in once, not again at the
+    receiver's later steps or at the end."""
+
+    @staticmethod
+    def _count_semi_joins(monkeypatch, tables, edges, root):
+        built = []
+        fn = transfer.apply_semi_joins
+        monkeypatch.setattr(
+            transfer, "apply_semi_joins", lambda df, rec: built.extend(rec) or fn(df, rec)
+        )
+        yannakakis_reduce(tables, edges, root)
+        steps = tree_steps(bfs_join_tree(list(tables), edges, root))
+        assert len(built) == sum(len(outs) for _, outs in steps)
+        return len(built)
+
+    @pytest.mark.parametrize("root", ["R", "S", "T"])
+    def test_chain(self, toy, monkeypatch, root):
+        assert self._count_semi_joins(monkeypatch, toy, CHAIN(), root) == 4
+
+    def test_q04(self, tpch_small, monkeypatch):
+        spec = queries.build("q04", tpch_small.spark)
+        tables = {t: ref.df.filter(ref.predicate) for t, ref in spec.tables.items()}
+        assert self._count_semi_joins(monkeypatch, tables, spec.edges, "orders") == 2
