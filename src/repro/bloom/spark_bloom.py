@@ -11,7 +11,8 @@ Both sides hash ``xxhash64`` of the keys with every numeric key cast to
 values Spark's join finds equal (an int and an equal float or decimal,
 ``-0.0`` and ``0.0``, a date and its midnight timestamp) hash equally;
 distinct values can only collide, giving false positives, never false
-negatives.
+negatives. Other keys hash as they are, so ``spec.validate`` refuses an
+edge whose two sides hash as different types (a string and an int).
 """
 from __future__ import annotations
 
@@ -27,7 +28,8 @@ from py4j.protocol import Py4JError
 from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.classic.column import Column as ClassicColumn
-from pyspark.sql.types import DateType, NumericType, TimestampNTZType
+from pyspark.sql.types import DataType, DateType, DoubleType, NumericType
+from pyspark.sql.types import TimestampNTZType, TimestampType
 
 from repro.bloom.filter import optimal_params
 
@@ -106,16 +108,29 @@ def jvm_column(spark: SparkSession, name: str, *args: Column, agg: bool = False)
         raise RuntimeError(f"{msg} through {EXPRESSION_UTILS}") from e
 
 
-_HASH_AS = ((NumericType, "double"), ((DateType, TimestampNTZType), "timestamp"))
+_HASH_AS = (
+    (NumericType, DoubleType()),
+    ((DateType, TimestampNTZType, TimestampType), TimestampType()),
+)
+
+
+def hash_type(data_type: DataType) -> DataType:
+    """The type a key of ``data_type`` is hashed as: numeric keys as
+    ``double``, dates and timestamps as ``timestamp``, anything else as
+    it is. Keys of two hash types hash differently even where Spark's
+    join finds them equal (the string ``"1"`` and the int ``1``)."""
+    return next((to for kind, to in _HASH_AS if isinstance(data_type, kind)), data_type)
 
 
 def _key_hash(df: DataFrame, cols: Sequence[str]) -> Column:
-    """``xxhash64`` of the key columns, numeric ones as ``double``, dates
-    and ``timestamp_ntz`` as ``timestamp``, so keys that Spark's join
-    finds equal after coercing them (a date to ``timestamp``, or to
-    ``timestamp_ntz`` against one) hash equally."""
-    cast = {f.name: to for f in df.schema.fields for kind, to in _HASH_AS if isinstance(f.dataType, kind)}
-    return F.xxhash64(*[F.col(c).cast(cast[c]) if c in cast else F.col(c) for c in cols])
+    """``xxhash64`` of the key columns, each cast to its ``hash_type``, so
+    keys that Spark's join finds equal after coercing them (a date to
+    ``timestamp``, or to ``timestamp_ntz`` against one) hash equally."""
+    types = {f.name: f.dataType for f in df.schema.fields}
+    to = {c: hash_type(types[c]) for c in cols}
+    # Cast by type name: a ``DataType`` costs PySpark one more JVM call.
+    keys = [F.col(c) if to[c] == types[c] else F.col(c).cast(to[c].simpleString()) for c in cols]
+    return F.xxhash64(*keys)
 
 
 def _empty_filter(spark: SparkSession, items: int, n_bits: int) -> bytes:

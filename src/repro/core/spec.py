@@ -21,6 +21,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from pyspark.sql import Column, DataFrame
 
+from repro.bloom.spark_bloom import hash_type
+
 #: (left_side_df, right_side_df) -> extra non-equi join condition.
 #: The first argument always holds the edge's *left* table's columns.
 ExtraCond = Callable[[DataFrame, DataFrame], Column]
@@ -160,13 +162,15 @@ def validate(spec: QuerySpec) -> List[str]:
     for name, ref in spec.tables.items():
         if ref.subquery is not None and ref.subquery not in sub_names:
             problems.append(f"table {name} references unknown subquery {ref.subquery}")
-    cols_by_table = {
-        n: set(r.df.columns) if r.df is not None else None
+    # column -> type of every base table (sub-query outputs are unknown).
+    types_by_table = {
+        n: {f.name: f.dataType for f in r.df.schema.fields}
         for n, r in spec.tables.items()
+        if r.df is not None
     }
     seen_cols: Dict[str, str] = {}
-    for n, cols in cols_by_table.items():
-        for c in cols or ():
+    for n, types in types_by_table.items():
+        for c in types:
             if c in seen_cols:
                 problems.append(f"column {c} appears in both {seen_cols[c]} and {n}")
             seen_cols[c] = n
@@ -174,10 +178,19 @@ def validate(spec: QuerySpec) -> List[str]:
         for t, cols in ((e.left, e.left_cols), (e.right, e.right_cols)):
             if t not in spec.tables:
                 problems.append(f"edge references unknown table {t}")
-            elif cols_by_table.get(t) is not None:
-                missing = set(cols) - cols_by_table[t]
+            elif t in types_by_table:
+                missing = set(cols) - set(types_by_table[t])
                 if missing:
                     problems.append(f"table {t} lacks edge columns {sorted(missing)}")
+        # A Bloom filter hashes keys as their ``hash_type``: keys of two
+        # hash types never match, so the filter would drop joinable rows.
+        lt, rt = types_by_table.get(e.left, {}), types_by_table.get(e.right, {})
+        for a, b in zip(e.left_cols, e.right_cols):
+            if a in lt and b in rt and hash_type(lt[a]) != hash_type(rt[b]):
+                problems.append(
+                    f"edge {e.left}-{e.right}: {a} ({lt[a].simpleString()}) and "
+                    f"{b} ({rt[b].simpleString()}) hash as different types"
+                )
     # A semi/anti edge's right table is a pure filter table: its columns
     # are dropped by the join, so it must not participate in any other
     # edge (they could never be satisfied afterwards).

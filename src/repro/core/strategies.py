@@ -77,7 +77,6 @@ def _resolve_tables(
     spark: SparkSession,
     spec: QuerySpec,
     strategy: str,
-    fpp: float,
     res: RunResult,
 ) -> Dict[str, DataFrame]:
     """Run sub-query blocks (same strategy), then apply local predicates."""
@@ -85,15 +84,15 @@ def _resolve_tables(
     scalars: Dict[str, float] = {}
     for sub in spec.subqueries:
         t0 = time.perf_counter()
-        rr = run_query(spark, sub.spec, strategy, fpp=fpp, collect=sub.scalar)
+        rr = run_query(spark, sub.spec, strategy, collect=sub.scalar)
+        res._persisted.extend(rr._persisted)
         if sub.scalar:
             scalars[sub.name] = rr.rows[0][0]
         else:
             rr.df.persist()
-            rr.df.count()
             res._persisted.append(rr.df)
+            rr.df.count()
             sub_results[sub.name] = rr.df
-        res._persisted.extend(rr._persisted)
         res.pre_s += time.perf_counter() - t0
     res.scalars = scalars
     tables: Dict[str, DataFrame] = {}
@@ -184,10 +183,10 @@ def _observed_counts(
     return {t: counted[t] if t in missed else row.getLong(0) for t, row in rows.items()}
 
 
-def _bloom_join_step_blooms(spec, tables, sizes, order, fpp):
+def _bloom_join_step_blooms(spec, tables, sizes, order):
     """One-hop blooms: each incoming table's filters for the tables
     already placed, built from its locally-filtered rows in one scan."""
-    send = bloom_sender(sizes, fpp)
+    send = bloom_sender(sizes)
     return {t: send(t, tables[t], outs) for t, outs in order_steps(spec.edges, order)}
 
 
@@ -198,68 +197,64 @@ def run_query(
     *,
     join_order: Optional[Sequence[str]] = None,
     measure: bool = False,
-    fpp: float = 0.01,
-    yann_root: Optional[str] = None,
     collect: bool = True,
 ) -> RunResult:
-    """Execute ``spec`` under ``strategy``. The caller should invoke
-    ``result.cleanup()`` once done with ``result.df``. Raises
-    ``ValueError`` before any Spark job if the spec, with ``join_order``
-    in place of its own, is invalid or ``yann_root`` is not a spec table."""
+    """Execute ``spec`` under ``strategy``. Bloom filters are sized for
+    ``BloomSpec``'s false-positive rate, 0.01; the Yannakakis join tree is
+    rooted at the first table of the join order. The caller should invoke
+    ``result.cleanup()`` once done with ``result.df``; a run that raises
+    releases what it persisted. Raises ``ValueError`` before any Spark
+    job if the spec, with ``join_order`` in place of its own, is invalid."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     order = list(join_order or spec.join_order)
     problems = validate(replace(spec, join_order=order))
-    if yann_root is not None and yann_root not in spec.tables:
-        problems.append(f"yann_root {yann_root!r} is not a table of {spec.name}")
     if problems:
         raise ValueError(f"{spec.name}: " + "; ".join(problems))
     res = RunResult(query=spec.name, strategy=strategy, df=None)  # type: ignore[arg-type]
-    tables = _resolve_tables(spark, spec, strategy, fpp, res)
+    try:
+        tables = _resolve_tables(spark, spec, strategy, res)
 
-    t0 = time.perf_counter()
-    step_blooms = None
-    if strategy in ("bloom_join", "pred_trans"):
-        # Exact filtered-input cardinalities: bloom sizing + (for
-        # pred_trans) the small→big orientation heuristic. Counted here
-        # because it is planning work of the pre-filter phase.
-        res.sizes = _count_all(tables)
-    if strategy == "pred_trans":
-        reduced, res.transfer_stats = predicate_transfer(
-            tables, spec.edges, res.sizes, fpp=fpp
+        t0 = time.perf_counter()
+        reduced, step_blooms = tables, None
+        if strategy in ("bloom_join", "pred_trans"):
+            # Exact filtered-input cardinalities: bloom sizing + (for
+            # pred_trans) the small→big orientation heuristic. Counted
+            # here because it is planning work of the pre-filter phase.
+            res.sizes = _count_all(tables)
+        if strategy == "pred_trans":
+            reduced, res.transfer_stats = predicate_transfer(tables, spec.edges, res.sizes)
+        elif strategy == "bloom_join":
+            step_blooms = _bloom_join_step_blooms(spec, tables, res.sizes, order)
+        elif strategy == "yannakakis":
+            reduced, _ = yannakakis_reduce(tables, spec.edges, order[0])
+            # Materialize the exact semi-join reductions, so the
+            # pre-filter phase carries their cost (as the paper charges
+            # it) and the join phase starts from them. One counting
+            # action materializes every persisted table.
+            for df in reduced.values():
+                df.persist()
+                res._persisted.append(df)
+            res.reduced_sizes = _count_all(reduced)
+        res.transfer_s = time.perf_counter() - t0
+
+        # Pred-Trans hands its lazy reduced tables (base ∧ local predicate
+        # ∧ received filters) to the join phase, whose scans then apply
+        # the filters; their sizes are observed on the join phase's action.
+        join_inputs, observations = reduced, {}
+        if strategy == "pred_trans" and collect:
+            join_inputs, observations = _observe_counts(reduced)
+        t1 = time.perf_counter()
+        joined, res.measures = execute_join_phase(
+            spec, join_inputs, join_order=order, step_blooms=step_blooms, measure=measure
         )
-    elif strategy == "yannakakis":
-        reduced, _tree = yannakakis_reduce(tables, spec.edges, yann_root or order[0])
-    elif strategy == "bloom_join":
-        step_blooms = _bloom_join_step_blooms(spec, tables, res.sizes, order, fpp)
-        reduced = tables
-    else:
-        reduced = tables
-    if strategy == "yannakakis":
-        # Materialize the exact semi-join reductions, so the pre-filter
-        # phase carries their cost (as the paper charges it) and the join
-        # phase starts from them.
-        # One counting action materializes every persisted table.
-        for t, df in reduced.items():
-            df.persist()
-            res._persisted.append(df)
-        res.reduced_sizes = _count_all(reduced)
-    res.transfer_s = time.perf_counter() - t0
-
-    # Pred-Trans hands its lazy reduced tables (base ∧ local predicate ∧
-    # received filters) to the join phase, whose scans then apply the
-    # filters; their sizes are observed on the join phase's own action.
-    join_inputs, observations = reduced, {}
-    if strategy == "pred_trans" and collect:
-        join_inputs, observations = _observe_counts(reduced)
-    t1 = time.perf_counter()
-    joined, res.measures = execute_join_phase(
-        spec, join_inputs, join_order=order, step_blooms=step_blooms, measure=measure
-    )
-    res.df = spec.finalize(joined, res.scalars)
-    if collect:
-        res.rows = res.df.collect()
-    res.join_s = time.perf_counter() - t1
-    if observations:
-        res.reduced_sizes = _observed_counts(reduced, observations, res.df)
+        res.df = spec.finalize(joined, res.scalars)
+        if collect:
+            res.rows = res.df.collect()
+        res.join_s = time.perf_counter() - t1
+        if observations:
+            res.reduced_sizes = _observed_counts(reduced, observations, res.df)
+    except BaseException:
+        res.cleanup()  # the caller gets no result to clean up
+        raise
     return res

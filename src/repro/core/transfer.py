@@ -85,13 +85,14 @@ def run_steps(
     return {t: reduced(t) for t in tables}
 
 
-def bloom_sender(sizes: Mapping[str, int], fpp: float) -> Callable:
+def bloom_sender(sizes: Mapping[str, int]) -> Callable:
     """The Bloom reduction's ``send``: one filter per distinct key set of
-    the out-edges, all built in one scan, sized by the sender's ``sizes``."""
+    the out-edges, all built in one scan, sized by the sender's ``sizes``
+    at ``BloomSpec``'s false-positive rate."""
 
     def send(src: str, df: DataFrame, outs: List[DirectedEdge]) -> list:
         key_sets = sorted({d.src_cols for d in outs})
-        specs = [BloomSpec(ks, sizes.get(src, 1), fpp) for ks in key_sets]
+        specs = [BloomSpec(ks, sizes.get(src, 1)) for ks in key_sets]
         blooms = dict(zip(key_sets, build_blooms(df, specs)))
         return [(d.dst_cols, blooms[d.src_cols]) for d in outs]
 
@@ -99,19 +100,17 @@ def bloom_sender(sizes: Mapping[str, int], fpp: float) -> Callable:
 
 
 def predicate_transfer(
-    tables: Mapping[str, DataFrame],
-    edges: Sequence[Edge],
-    sizes: Mapping[str, int],
-    fpp: float = 0.01,
+    tables: Mapping[str, DataFrame], edges: Sequence[Edge], sizes: Mapping[str, int]
 ) -> Tuple[Dict[str, DataFrame], TransferStats]:
-    """Run both passes; returns per-table reduced DataFrames and the
-    transfer statistics. The reduced tables are lazy: each is its input
-    plus the filters over every Bloom filter it received, which the join
-    phase's scans apply (nothing is materialized here)."""
+    """Run both passes with filters sized by ``sizes`` (``bloom_sender``);
+    returns per-table reduced DataFrames and the transfer statistics. The
+    reduced tables are lazy: each is its input plus the filters over every
+    Bloom filter it received, which the join phase's scans apply (nothing
+    is materialized here)."""
     dag = orient(edges, sizes)
     topo = topological_order(list(tables), dag)
     steps = dag_steps(dag, topo) + dag_steps(reverse_dag(dag), topo[::-1])
-    reduced = run_steps(tables, steps, bloom_sender(sizes, fpp), apply_blooms)
+    reduced = run_steps(tables, steps, bloom_sender(sizes), apply_blooms)
     return reduced, TransferStats(dag, topo, steps)
 
 

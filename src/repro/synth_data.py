@@ -1,8 +1,9 @@
 """Synthetic OLAP data at a configurable scale factor.
 
-SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
-benchmarks use SF~=0.1. Generators are deterministic in ``seed`` so the
-DuckDB oracle sees identical input.
+SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF 0.005,
+the jobs SF 0.1. Each generator returns a pandas frame, deterministic in
+``seed``; ``tpch.generate`` builds the Spark tables from the same frames,
+so the DuckDB oracle sees identical input.
 
 Extended for the Predicate Transfer reproduction with the full TPC-H
 join graph: supplier, partsupp, nation, region, plus the lineitem /
@@ -25,7 +26,6 @@ scale factors.
 """
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 _N_LINEITEM_PER_SF = 6_000_000
 _N_ORDERS_PER_SF = 1_500_000
@@ -226,55 +226,3 @@ def region_pdf() -> pd.DataFrame:
         }
     )
 
-
-# ---------------------------------------------------------------------------
-# Spark wrappers (original public API, kept; new tables follow the pattern)
-# ---------------------------------------------------------------------------
-
-def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFrame:
-    return spark.createDataFrame(lineitem_pdf(sf=sf, seed=seed))
-
-
-def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame:
-    return spark.createDataFrame(orders_pdf(sf=sf, seed=seed))
-
-
-def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
-    return spark.createDataFrame(part_pdf(sf=sf, seed=seed))
-
-
-def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFrame:
-    return spark.createDataFrame(customer_pdf(sf=sf, seed=seed))
-
-
-def supplier(spark: SparkSession, *, sf: float = 0.01, seed: int = 6) -> DataFrame:
-    return spark.createDataFrame(supplier_pdf(sf=sf, seed=seed))
-
-
-def partsupp(spark: SparkSession, *, sf: float = 0.01, seed: int = 7) -> DataFrame:
-    return spark.createDataFrame(partsupp_pdf(sf=sf, seed=seed))
-
-
-def nation(spark: SparkSession) -> DataFrame:
-    return spark.createDataFrame(nation_pdf())
-
-
-def region(spark: SparkSession) -> DataFrame:
-    return spark.createDataFrame(region_pdf())
-
-
-def zipf_keys(spark: SparkSession, *, n: int, n_keys: int, alpha: float = 1.1, seed: int = 3) -> DataFrame:
-    """Skewed key column — for join-skew / cardinality-estimation papers."""
-    g = _rng(seed)
-    ranks = np.arange(1, n_keys + 1)
-    weights = 1.0 / ranks**alpha
-    weights /= weights.sum()
-    keys = g.choice(ranks, size=n, p=weights)
-    return spark.createDataFrame(pd.DataFrame({"k": keys, "v": g.random(n)}))
-
-
-def uniform_keys(spark: SparkSession, *, n: int, n_keys: int, seed: int = 4) -> DataFrame:
-    g = _rng(seed)
-    return spark.createDataFrame(
-        pd.DataFrame({"k": g.integers(1, n_keys + 1, n), "v": g.random(n)})
-    )

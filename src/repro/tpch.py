@@ -16,19 +16,6 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro import synth_data
 
-#: All base tables, in generation order.
-TABLES = (
-    "lineitem",
-    "orders",
-    "customer",
-    "part",
-    "supplier",
-    "partsupp",
-    "nation",
-    "region",
-)
-
-
 def configure_session(spark: SparkSession) -> None:
     """Turn off Catalyst's built-in runtime filtering so the four
     strategies under test are the only source of pre-filtering.
@@ -59,9 +46,9 @@ class TPCHData:
             df.unpersist()
 
 
-def generate(spark: SparkSession, *, sf: float, persist: bool = True) -> TPCHData:
-    """Generate every base table at ``sf``; optionally persist + force the
-    Spark copies so repeated strategy runs do not re-pay Arrow conversion."""
+def generate(spark: SparkSession, *, sf: float) -> TPCHData:
+    """Generate every base table at ``sf``; persist + force the Spark
+    copies so repeated strategy runs do not re-pay Arrow conversion."""
     configure_session(spark)
     pdfs = {
         "lineitem": synth_data.lineitem_pdf(sf=sf),
@@ -87,8 +74,7 @@ def generate(spark: SparkSession, *, sf: float, persist: bool = True) -> TPCHDat
         elif df.rdd.getNumPartitions() > par:
             df = df.repartition(par)
         sdfs[name] = df
-    if persist:
-        for df in sdfs.values():
-            df.persist()
-            df.count()
+    for df in sdfs.values():
+        df.persist()
+        df.count()
     return TPCHData(sf=sf, pandas=pdfs, spark=sdfs)

@@ -1,10 +1,9 @@
 """Test-suite fixtures.
 
-``SPARK_SHUFFLE_PARTITIONS`` defaults to 16 for unit tests (they run on
-SF<=0.01 data where 64 shuffle tasks are pure overhead); benchmarks,
-which don't import this conftest, keep the root default of 64. Set at
-import time — the root conftest reads the env var lazily when the
-session fixture is first instantiated.
+``SPARK_SHUFFLE_PARTITIONS`` defaults to 16 for the tests (they run on
+SF 0.005 data where 64 shuffle tasks are pure overhead); the jobs keep
+``get_spark``'s default of 64. Set at import time — the root conftest
+reads the env var lazily when the session fixture is first instantiated.
 """
 import os
 

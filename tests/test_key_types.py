@@ -2,7 +2,9 @@
 floating zero, or are a date and a timestamp): every strategy must
 still return the oracle's rows.
 A Bloom filter that hashes equal values of different types differently
-silently drops joinable rows under Bloom Join and Pred-Trans."""
+silently drops joinable rows under Bloom Join and Pred-Trans, so an
+edge whose sides hash as different types (a string and a number) is
+refused under every strategy."""
 from datetime import date, datetime
 from decimal import Decimal
 
@@ -27,6 +29,13 @@ KEY_EDGES = {
     ),
 }
 
+#: Key edges whose two sides hash as different types, in the same form.
+MISMATCHED_EDGES = {
+    "string_int": ("string", ["1", "2", "3", "5"], "int", [1, 3, 4]),
+    "string_double": ("string", ["1", "2", "3", "5"], "double", [1.0, 3.0, 4.0]),
+    "int_string": ("int", [1, 2, 3, 5], "string", ["1", "3", "4"]),
+}
+
 ORACLE = "SELECT l_id, r_id FROM lhs JOIN rhs ON l_k = r_k"
 
 
@@ -41,15 +50,18 @@ def key_edge(request, spark):
     return {"lhs": _table(spark, "l", lt, lkeys), "rhs": _table(spark, "r", rt, rkeys)}
 
 
-def _check(spark, tables, strategy, order):
-    spec = QuerySpec(
+def _spec(tables, order):
+    return QuerySpec(
         name="key_types",
         tables={t: TableRef(df=df) for t, df in tables.items()},
         edges=[Edge("lhs", ("l_k",), "rhs", ("r_k",))],
         join_order=order,
         finalize=lambda df, scalars: df.select("l_id", "r_id"),
     )
-    rr = run_query(spark, spec, strategy)
+
+
+def _check(spark, tables, strategy, order):
+    rr = run_query(spark, _spec(tables, order), strategy)
     try:
         assert rr.rows, "every key edge has at least one joining pair"
         assert_equivalent(rr.df, ORACLE, **tables)
@@ -78,3 +90,19 @@ def test_date_timestamp_ntz_keys_outside_utc(spark, strategy):
         _check(spark, tables, strategy, ["lhs", "rhs"])
     finally:
         spark.conf.set(conf, zone)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("name", sorted(MISMATCHED_EDGES))
+def test_mismatched_hash_types_rejected_before_any_job(spark, name, strategy):
+    lt, lkeys, rt, rkeys = MISMATCHED_EDGES[name]
+    tables = {"lhs": _table(spark, "l", lt, lkeys), "rhs": _table(spark, "r", rt, rkeys)}
+    spec = _spec(tables, ["lhs", "rhs"])
+    sc = spark.sparkContext
+    sc.setJobGroup("rejected-run", "run_query with mismatched key types")
+    try:
+        with pytest.raises(ValueError, match=rf"edge lhs-rhs: l_k \({lt}\) and r_k \({rt}\)"):
+            run_query(spark, spec, strategy)
+        assert sc.statusTracker().getJobIdsForGroup("rejected-run") == []
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)

@@ -1,7 +1,8 @@
 """Pred-Trans hands its lazy reduced tables to the join phase and reads
 their sizes from ``Observation`` metrics on the join phase's action: the
 sizes must stay exact, and nothing may be persisted or counted for them
-on the way. Yannakakis still materializes its exact semi-joins."""
+on the way. Yannakakis still materializes its exact semi-joins, and a
+run that raises releases whatever it persisted."""
 import time
 
 import pytest
@@ -10,8 +11,8 @@ from pyspark.sql import functions as F
 
 from repro import queries
 from repro.core import strategies
-from repro.core.spec import Edge, QuerySpec, TableRef
-from repro.core.strategies import run_query
+from repro.core.spec import Edge, QuerySpec, SubQuery, TableRef
+from repro.core.strategies import STRATEGIES, run_query
 
 
 def _recording(monkeypatch, name):
@@ -83,6 +84,40 @@ def test_pred_trans_persists_nothing_and_counts_once(spark, tpch_small, monkeypa
         assert set(rr.reduced_sizes) == set(spec.tables)
     finally:
         rr.cleanup()
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_failed_run_releases_what_it_persisted(spark, strategy):
+    """The group-by sub-query's output (and, under Yannakakis, every
+    reduced table) is persisted before the main block's ``finalize``
+    raises; the caller never gets a result to clean up."""
+    # Distinct rows per strategy: Spark caches equal plans only once.
+    n = 100 + STRATEGIES.index(strategy)
+    base = spark.range(n).select((F.col("id") % 10).alias("b_k"), F.col("id").alias("b_v"))
+    grouped = QuerySpec(
+        name="grouped",
+        tables={"base": TableRef(df=base)},
+        edges=[],
+        join_order=["base"],
+        finalize=lambda df, scalars: df.groupBy("b_k").agg(F.sum("b_v").alias("g_v")),
+    )
+    keys = spark.range(5).select(F.col("id").alias("k_k"))
+
+    def finalize(df, scalars):
+        raise RuntimeError("finalize failed")
+
+    spec = QuerySpec(
+        name="failing",
+        tables={"g": TableRef(subquery="agg"), "keys": TableRef(df=keys)},
+        edges=[Edge("keys", ("k_k",), "g", ("b_k",))],
+        join_order=["keys", "g"],
+        finalize=finalize,
+        subqueries=[SubQuery("agg", grouped)],
+    )
+    before = _storage_bytes(spark)
+    with pytest.raises(RuntimeError, match="finalize failed"):
+        run_query(spark, spec, strategy)
+    assert _storage_bytes(spark) == before
 
 
 def test_prepartitioned_input_counted_exactly(spark):

@@ -1,7 +1,7 @@
 """Figure-4 machinery: Q5 under alternative join orders must produce
 identical results for every strategy (conditions are derived from the
-edge set, not the order); an order or a Yannakakis root that does not
-fit the spec is refused before any Spark job."""
+edge set, not the order); an order that does not fit the spec is
+refused before any Spark job."""
 import pytest
 
 from repro import queries
@@ -36,9 +36,8 @@ def test_orders_differ():
     [
         ({"join_order": JOIN_ORDERS["order1"][:-1]}, r"does not cover tables.*'region'"),
         ({"join_order": JOIN_ORDERS["order1"] + ["nation"]}, r"duplicates: \['nation'\]"),
-        ({"yann_root": "nope"}, "yann_root 'nope'"),
     ],
-    ids=["missing_table", "duplicate_table", "unknown_root"],
+    ids=["missing_table", "duplicate_table"],
 )
 def test_bad_order_or_root_rejected_before_any_job(spark, tpch_small, kwargs, message):
     spec = queries.build("q05", tpch_small.spark)

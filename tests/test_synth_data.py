@@ -1,6 +1,6 @@
 """Generator tests: schemas, determinism, referential integrity, value
 ranges — the invariants the query suite and the paper's selectivities
-depend on. Pure pandas except the Spark-wrapper schema checks."""
+depend on. Pure pandas."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -144,17 +144,3 @@ class TestValueRanges:
         assert len(set(ks.tolist())) == 4
         assert ((1 <= ks) & (ks <= 40)).all()
 
-
-class TestSparkWrappers:
-    def test_all_spark_tables_build_with_expected_columns(self, spark):
-        li = sd.lineitem(spark, sf=0.001)
-        assert {"l_orderkey", "l_suppkey", "l_commitdate", "l_shipmode"} <= set(li.columns)
-        assert sd.nation(spark).count() == 25
-        assert sd.region(spark).count() == 5
-        ps = sd.partsupp(spark, sf=0.001)
-        assert {"ps_partkey", "ps_suppkey", "ps_availqty", "ps_supplycost"} <= set(ps.columns)
-
-    def test_key_generators(self, spark):
-        z = sd.zipf_keys(spark, n=100, n_keys=10)
-        u = sd.uniform_keys(spark, n=100, n_keys=10)
-        assert z.count() == 100 and u.count() == 100

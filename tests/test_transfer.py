@@ -1,12 +1,15 @@
 """Predicate-transfer phase tests on the toy chain: soundness (no
 contributing row lost), effectiveness (dangling rows dropped modulo
 false positives), single-scan filter construction, §3.4 restrictions,
-and the nesting of the reductions: exact ⊆ Pred-Trans ⊆ input."""
+the nesting of the reductions (exact ⊆ Pred-Trans ⊆ input), and the
+sizing of every filter a q05 run builds."""
 import pytest
 
 from repro import queries
+from repro.bloom.filter import optimal_params
+from repro.core import strategies, transfer
 from repro.core.spec import Edge
-from repro.core.strategies import _count_all
+from repro.core.strategies import _count_all, run_query
 from repro.core.transfer import (
     apply_semi_joins,
     predicate_transfer,
@@ -54,7 +57,7 @@ class TestEffectiveness:
         """With tiny inputs the Bloom fpp makes false positives
         vanishingly unlikely, so the reduction should equal the exact
         semi-join reduction on this acyclic chain."""
-        reduced, _ = predicate_transfer(toy, CHAIN(), SIZES, fpp=0.001)
+        reduced, _ = predicate_transfer(toy, CHAIN(), SIZES)
         assert _set(reduced["R"], "r_a") == {(1,)}
         assert _set(reduced["S"], "s_a", "s_b") == {(1, 10), (1, 11)}
         assert _set(reduced["T"], "t_b") == {(10,), (11,)}
@@ -109,7 +112,7 @@ class TestRestrictions:
             Edge("R", ("r_a",), "S", ("s_a",), transfer="ltr"),
             Edge("S", ("s_b",), "T", ("t_b",)),
         ]
-        reduced, stats = predicate_transfer(toy, edges, SIZES, fpp=0.001)
+        reduced, stats = predicate_transfer(toy, edges, SIZES)
         # R never receives: the reversed R<-S transfer is forbidden.
         assert stats.received["R"] == 0
         assert _set(reduced["R"], "r_a") == {(1,), (2,), (3,)}
@@ -121,7 +124,7 @@ class TestRestrictions:
             Edge("R", ("r_a",), "S", ("s_a",), transfer="none"),
             Edge("S", ("s_b",), "T", ("t_b",)),
         ]
-        reduced, stats = predicate_transfer(toy, edges, SIZES, fpp=0.001)
+        reduced, stats = predicate_transfer(toy, edges, SIZES)
         assert _set(reduced["R"], "r_a") == {(1,), (2,), (3,)}
         # S-T edge still active both ways: S's dangling b=12 row gone.
         assert (12,) not in {t[1:] for t in _set(reduced["S"], "s_a", "s_b")}
@@ -135,7 +138,7 @@ class TestRestrictions:
         )
         toy2 = {"S": toy["S"], "P": P}
         edges = [Edge("S", ("s_a", "s_b"), "P", ("p_a", "p_b"))]
-        reduced, _ = predicate_transfer(toy2, edges, {"S": 4, "P": 3}, fpp=0.001)
+        reduced, _ = predicate_transfer(toy2, edges, {"S": 4, "P": 3})
         assert _set(reduced["P"], "p_a", "p_b") == {(1, 10), (2, 12)}
         assert _set(reduced["S"], "s_a", "s_b") == {(1, 10), (2, 12)}
 
@@ -167,3 +170,45 @@ class TestReductionsNest:
             for t, ref in spec.tables.items()
         }
         _nested(tables, spec.edges, _count_all(tables))
+
+
+def _sized_for(sizes, src):
+    """Bits of a filter built from ``src``: sized for ``sizes[src]`` keys
+    at a 0.01 false-positive rate, rounded up to whole 64-bit words."""
+    return -(-optimal_params(sizes[src], 0.01)[0] // 64) * 64
+
+
+def test_pred_trans_filters_sized_by_sender(spark, tpch_small, monkeypatch):
+    built, build = [], transfer.build_blooms
+
+    def recording(df, specs):
+        built.append(build(df, specs))
+        return built[-1]
+
+    monkeypatch.setattr(transfer, "build_blooms", recording)
+    rr = run_query(spark, queries.build("q05", tpch_small.spark), "pred_trans")
+    try:
+        steps = rr.transfer_stats.steps
+        assert len(built) == len(steps)
+        for (src, outs), filters in zip(steps, built):
+            assert len(filters) == len({d.src_cols for d in outs})
+            assert {f.n_bits for f in filters} == {_sized_for(rr.sizes, src)}, src
+    finally:
+        rr.cleanup()
+
+
+def test_bloom_join_filters_sized_by_sender(spark, tpch_small, monkeypatch):
+    sent, step_blooms = {}, strategies._bloom_join_step_blooms
+
+    def recording(*args):
+        sent.update(step_blooms(*args))
+        return sent
+
+    monkeypatch.setattr(strategies, "_bloom_join_step_blooms", recording)
+    rr = run_query(spark, queries.build("q05", tpch_small.spark), "bloom_join")
+    try:
+        assert len(sent) == len(rr.sizes) - 1, "every table but the first sends"
+        for src, msgs in sent.items():
+            assert {f.n_bits for _, f in msgs} == {_sized_for(rr.sizes, src)}, src
+    finally:
+        rr.cleanup()
