@@ -11,8 +11,9 @@ Both sides hash ``xxhash64`` of the keys with every numeric key cast to
 values Spark's join finds equal (an int and an equal float or decimal,
 ``-0.0`` and ``0.0``, a date and its midnight timestamp) hash equally;
 distinct values can only collide, giving false positives, never false
-negatives. Other keys hash as they are, so ``spec.validate`` refuses an
-edge whose two sides hash as different types (a string and an int).
+negatives. Other keys hash as they are, so ``spec.schema_problems``
+refuses an edge whose two sides hash as different types (a string and
+an int).
 """
 from __future__ import annotations
 
@@ -42,17 +43,8 @@ SKETCH = "org.apache.spark.util.sketch.BloomFilter"
 _HEADER = struct.Struct(">iiii")
 _VERSION = 2
 
-
-@dataclass(frozen=True)
-class BloomSpec:
-    """One filter to build: key columns + sizing."""
-
-    cols: tuple[str, ...]
-    expected_items: int
-    fpp: float = 0.01
-
-    def params(self) -> tuple[int, int]:
-        return optimal_params(self.expected_items, self.fpp)
+#: The false-positive rate every filter is sized for.
+FPP = 0.01
 
 
 @dataclass(frozen=True)
@@ -143,29 +135,32 @@ def _empty_filter(spark: SparkSession, items: int, n_bits: int) -> bytes:
     return bytes(out.toByteArray())
 
 
-def build_blooms(df: DataFrame, specs: Sequence[BloomSpec]) -> list[SparkBloomFilter]:
-    """One Bloom filter per spec from a single scan of ``df``; specs with
-    identical ``cols`` still get independent filters. A filter that
-    Spark's ``bloomFilter.maxNumBits`` leaves smaller than requested is
-    reported with a ``RuntimeWarning`` giving its estimated false-positive
-    rate."""
-    if not specs:
+def build_blooms(
+    df: DataFrame, key_sets: Sequence[Sequence[str]], items: int
+) -> list[SparkBloomFilter]:
+    """One Bloom filter per key set from a single scan of ``df``, each
+    sized for ``items`` distinct keys at ``FPP``. A filter that Spark's
+    ``bloomFilter.maxNumBits`` leaves smaller than requested is reported
+    with a ``RuntimeWarning`` giving its estimated false-positive rate."""
+    if not key_sets:
         return []
     spark = df.sparkSession
-    sizes = [(max(1, s.expected_items), s.params()[0]) for s in specs]
+    items = max(1, items)
+    n_bits = optimal_params(items, FPP)[0]
+    size_args = [F.lit(items).cast("long"), F.lit(n_bits).cast("long")]
     aggs = [
-        jvm_column(spark, AGGREGATE, _key_hash(df, s.cols), *[F.lit(v).cast("long") for v in n], agg=True)
-        for s, n in zip(specs, sizes)
+        jvm_column(spark, AGGREGATE, _key_hash(df, cols), *size_args, agg=True)
+        for cols in key_sets
     ]
     row = df.agg(*[a.alias(f"b{i}") for i, a in enumerate(aggs)]).first()
     filters = [
-        SparkBloomFilter.parse(_empty_filter(spark, *n) if raw is None else raw)
-        for raw, n in zip(row, sizes)
+        SparkBloomFilter.parse(_empty_filter(spark, items, n_bits) if raw is None else raw)
+        for raw in row
     ]
-    for s, (items, n_bits), f in zip(specs, sizes, filters):
+    for cols, f in zip(key_sets, filters):
         if f.n_bits < n_bits:
             warnings.warn(
-                f"Bloom filter on {', '.join(s.cols)}: {n_bits} bits requested, "
+                f"Bloom filter on {', '.join(cols)}: {n_bits} bits requested, "
                 f"{f.n_bits} granted (spark.sql.optimizer.runtime.bloomFilter.maxNumBits); "
                 f"estimated false-positive rate {f.fpp(items):.3g} for {items} keys",
                 RuntimeWarning,

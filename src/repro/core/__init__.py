@@ -5,16 +5,3 @@ Entry point: ``repro.core.strategies.run_query(spark, spec, strategy)``
 with ``strategy`` in ``{"no_pred_trans", "bloom_join", "yannakakis",
 "pred_trans"}``.
 """
-from repro.core.spec import Edge, QuerySpec, SubQuery, TableRef, rename_prefix
-from repro.core.strategies import STRATEGIES, RunResult, run_query
-
-__all__ = [
-    "Edge",
-    "QuerySpec",
-    "SubQuery",
-    "TableRef",
-    "rename_prefix",
-    "run_query",
-    "RunResult",
-    "STRATEGIES",
-]

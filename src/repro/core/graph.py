@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from graphlib import TopologicalSorter
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.core.spec import Edge
@@ -84,24 +85,17 @@ def orient(edges: Sequence[Edge], sizes: Mapping[str, int]) -> List[DirectedEdge
 
 
 def topological_order(nodes: Sequence[str], dag: Sequence[DirectedEdge]) -> List[str]:
-    """Kahn topological order (deterministic: FIFO over sorted seeds)."""
-    indeg = {n: 0 for n in nodes}
-    adj: Dict[str, List[str]] = {n: [] for n in nodes}
-    for d in dag:
-        indeg[d.dst] += 1
-        adj[d.src].append(d.dst)
-    q = deque(sorted(n for n in nodes if indeg[n] == 0))
-    order: List[str] = []
-    while q:
-        u = q.popleft()
-        order.append(u)
-        for v in sorted(adj[u]):
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                q.append(v)
-    if len(order) != len(nodes):
-        raise ValueError("transfer graph has a cycle")
-    return order
+    """Kahn topological order, deterministic: FIFO over sorted seeds and
+    sorted successors. Raises ``graphlib.CycleError`` (a ``ValueError``)
+    on a cycle."""
+    # Every node first, so the seeds come out in sorted order; then each
+    # node's in-edges, so every node's successors are visited sorted.
+    ts = TopologicalSorter()
+    for n in sorted(nodes):
+        ts.add(n)
+    for n in sorted(nodes):
+        ts.add(n, *[d.src for d in dag if d.dst == n])
+    return list(ts.static_order())
 
 
 def reverse_dag(dag: Sequence[DirectedEdge]) -> List[DirectedEdge]:

@@ -150,7 +150,8 @@ def rename_prefix(df: DataFrame, old: str, new: str) -> DataFrame:
 
 
 def validate(spec: QuerySpec) -> List[str]:
-    """Structural sanity checks; returns a list of problems (empty = ok)."""
+    """Structural sanity checks that read no DataFrame, so they run
+    before any Spark job; returns a list of problems (empty = ok)."""
     problems: List[str] = []
     sub_names = {s.name for s in spec.subqueries}
     if dups := sorted({t for t in spec.join_order if spec.join_order.count(t) > 1}):
@@ -162,39 +163,11 @@ def validate(spec: QuerySpec) -> List[str]:
     for name, ref in spec.tables.items():
         if ref.subquery is not None and ref.subquery not in sub_names:
             problems.append(f"table {name} references unknown subquery {ref.subquery}")
-    # column -> type of every base table (sub-query outputs are unknown).
-    types_by_table = {
-        n: {f.name: f.dataType for f in r.df.schema.fields}
-        for n, r in spec.tables.items()
-        if r.df is not None
-    }
-    seen_cols: Dict[str, str] = {}
-    for n, types in types_by_table.items():
-        for c in types:
-            if c in seen_cols:
-                problems.append(f"column {c} appears in both {seen_cols[c]} and {n}")
-            seen_cols[c] = n
     for e in spec.edges:
-        for t, cols in ((e.left, e.left_cols), (e.right, e.right_cols)):
-            if t not in spec.tables:
-                problems.append(f"edge references unknown table {t}")
-            elif t in types_by_table:
-                missing = set(cols) - set(types_by_table[t])
-                if missing:
-                    problems.append(f"table {t} lacks edge columns {sorted(missing)}")
-        # A Bloom filter hashes keys as their ``hash_type``: keys of two
-        # hash types never match, so the filter would drop joinable rows.
-        lt, rt = types_by_table.get(e.left, {}), types_by_table.get(e.right, {})
-        for a, b in zip(e.left_cols, e.right_cols):
-            if a in lt and b in rt and hash_type(lt[a]) != hash_type(rt[b]):
-                problems.append(
-                    f"edge {e.left}-{e.right}: {a} ({lt[a].simpleString()}) and "
-                    f"{b} ({rt[b].simpleString()}) hash as different types"
-                )
-    # A semi/anti edge's right table is a pure filter table: its columns
-    # are dropped by the join, so it must not participate in any other
-    # edge (they could never be satisfied afterwards).
-    for e in spec.edges:
+        problems += [f"edge references unknown table {t}" for t in (e.left, e.right) if t not in spec.tables]
+        # A semi/anti edge's right table is a pure filter table: its columns
+        # are dropped by the join, so it must not participate in any other
+        # edge (they could never be satisfied afterwards).
         if e.how in ("semi", "anti") and len(spec.edges_of(e.right)) != 1:
             problems.append(
                 f"{e.right}: semi/anti table must connect via exactly one edge"
@@ -215,4 +188,33 @@ def validate(spec: QuerySpec) -> List[str]:
         placed.add(t)
     for sub in spec.subqueries:
         problems += [f"[{sub.name}] {p}" for p in validate(sub.spec)]
+    return problems
+
+
+def schema_problems(spec: QuerySpec, tables: Mapping[str, DataFrame]) -> List[str]:
+    """Checks on the schemas of ``tables``, the spec tables a run joins
+    (base tables and sub-query outputs alike), for a spec ``validate``
+    accepts; returns a list of problems (empty = ok). Reading a schema
+    runs no Spark job."""
+    problems: List[str] = []
+    types = {t: {f.name: f.dataType for f in df.schema.fields} for t, df in tables.items()}
+    seen_cols: Dict[str, str] = {}
+    for t, cols in types.items():
+        for c in cols:
+            if c in seen_cols:
+                problems.append(f"column {c} appears in both {seen_cols[c]} and {t}")
+            seen_cols[c] = t
+    for e in spec.edges:
+        lt, rt = types[e.left], types[e.right]
+        for t, cols in ((e.left, e.left_cols), (e.right, e.right_cols)):
+            if missing := sorted(set(cols) - set(types[t])):
+                problems.append(f"table {t} lacks edge columns {missing}")
+        # A Bloom filter hashes keys as their ``hash_type``: keys of two
+        # hash types never match, so the filter would drop joinable rows.
+        for a, b in zip(e.left_cols, e.right_cols):
+            if a in lt and b in rt and hash_type(lt[a]) != hash_type(rt[b]):
+                problems.append(
+                    f"edge {e.left}-{e.right}: {a} ({lt[a].simpleString()}) and "
+                    f"{b} ({rt[b].simpleString()}) hash as different types"
+                )
     return problems

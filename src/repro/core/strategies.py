@@ -32,7 +32,7 @@ from pyspark.sql import functions as F
 from repro.bloom.spark_bloom import build_blooms  # noqa: F401
 from repro.core.executor import JoinMeasure, execute_join_phase
 from repro.core.graph import order_steps
-from repro.core.spec import QuerySpec, validate
+from repro.core.spec import QuerySpec, schema_problems, validate
 from repro.core.transfer import TransferStats, bloom_sender, predicate_transfer, yannakakis_reduce
 
 STRATEGIES = ("no_pred_trans", "bloom_join", "yannakakis", "pred_trans")
@@ -199,21 +199,23 @@ def run_query(
     measure: bool = False,
     collect: bool = True,
 ) -> RunResult:
-    """Execute ``spec`` under ``strategy``. Bloom filters are sized for
-    ``BloomSpec``'s false-positive rate, 0.01; the Yannakakis join tree is
+    """Execute ``spec`` under ``strategy``; the Yannakakis join tree is
     rooted at the first table of the join order. The caller should invoke
     ``result.cleanup()`` once done with ``result.df``; a run that raises
-    releases what it persisted. Raises ``ValueError`` before any Spark
-    job if the spec, with ``join_order`` in place of its own, is invalid."""
+    releases what it persisted. Raises ``ValueError`` if the spec, with
+    ``join_order`` in place of its own, is invalid: ``validate`` before
+    any Spark job, ``schema_problems`` once the sub-queries (if any) have
+    run, so that it sees their outputs' schemas."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     order = list(join_order or spec.join_order)
-    problems = validate(replace(spec, join_order=order))
-    if problems:
+    if problems := validate(replace(spec, join_order=order)):
         raise ValueError(f"{spec.name}: " + "; ".join(problems))
     res = RunResult(query=spec.name, strategy=strategy, df=None)  # type: ignore[arg-type]
     try:
         tables = _resolve_tables(spark, spec, strategy, res)
+        if problems := schema_problems(spec, tables):
+            raise ValueError(f"{spec.name}: " + "; ".join(problems))
 
         t0 = time.perf_counter()
         reduced, step_blooms = tables, None

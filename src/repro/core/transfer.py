@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from pyspark.sql import DataFrame
 
-from repro.bloom.spark_bloom import BloomSpec, apply_blooms, build_blooms
+from repro.bloom.spark_bloom import apply_blooms, build_blooms
 from repro.core.graph import DirectedEdge, JoinTree, Step, bfs_join_tree, dag_steps, orient
 from repro.core.graph import reverse_dag, topological_order, tree_steps
 from repro.core.spec import Edge
@@ -87,13 +87,12 @@ def run_steps(
 
 def bloom_sender(sizes: Mapping[str, int]) -> Callable:
     """The Bloom reduction's ``send``: one filter per distinct key set of
-    the out-edges, all built in one scan, sized by the sender's ``sizes``
-    at ``BloomSpec``'s false-positive rate."""
+    the out-edges, all built in one scan and sized by the sender's
+    ``sizes`` entry."""
 
     def send(src: str, df: DataFrame, outs: List[DirectedEdge]) -> list:
         key_sets = sorted({d.src_cols for d in outs})
-        specs = [BloomSpec(ks, sizes.get(src, 1)) for ks in key_sets]
-        blooms = dict(zip(key_sets, build_blooms(df, specs)))
+        blooms = dict(zip(key_sets, build_blooms(df, key_sets, sizes.get(src, 1))))
         return [(d.dst_cols, blooms[d.src_cols]) for d in outs]
 
     return send

@@ -4,15 +4,18 @@ still return the oracle's rows.
 A Bloom filter that hashes equal values of different types differently
 silently drops joinable rows under Bloom Join and Pred-Trans, so an
 edge whose sides hash as different types (a string and a number) is
-refused under every strategy."""
+refused under every strategy, on base tables and sub-query outputs
+alike."""
 from datetime import date, datetime
 from decimal import Decimal
 
 import pytest
+from pyspark.sql import functions as F
 
-from repro.core.spec import Edge, QuerySpec, TableRef
+from repro.core.spec import Edge, QuerySpec, SubQuery, TableRef
 from repro.core.strategies import STRATEGIES, run_query
 from repro.oracle import assert_equivalent
+from tests.test_reduced_sizes import _storage_bytes
 
 #: name -> (lhs key type, lhs keys, rhs key type, rhs keys). Each side
 #: has keys the other lacks, so a sound pre-filter has rows to drop.
@@ -106,3 +109,54 @@ def test_mismatched_hash_types_rejected_before_any_job(spark, name, strategy):
         assert sc.statusTracker().getJobIdsForGroup("rejected-run") == []
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
+
+
+def _grouped_spec(spark, strategy, key_type, out_key):
+    """``ints`` (an ``int`` key ``i_k``) joined on ``out_key`` to ``g``, a
+    group-by sub-query over a ``key_type``-keyed table whose output key
+    column is ``out_key``."""
+    # Distinct rows per strategy: Spark caches equal plans only once.
+    n = 20 + STRATEGIES.index(strategy)
+    base = spark.range(n).select(
+        (F.col("id") % 5).cast(key_type).alias("b_k"), F.col("id").alias("b_v")
+    )
+
+    def group(df, scalars):
+        return df.groupBy(F.col("b_k").alias(out_key)).agg(F.sum("b_v").alias("g_v"))
+
+    grouped = QuerySpec(
+        name="grouped",
+        tables={"base": TableRef(df=base)},
+        edges=[],
+        join_order=["base"],
+        finalize=group,
+    )
+    ints = _table(spark, "i", "int", [1, 3, 4])
+    return QuerySpec(
+        name="grouped_keys",
+        tables={"ints": TableRef(df=ints), "g": TableRef(subquery="agg")},
+        edges=[Edge("ints", ("i_k",), "g", (out_key,))],
+        join_order=["ints", "g"],
+        finalize=lambda df, scalars: df.select("i_id", "g_v"),
+        subqueries=[SubQuery("agg", grouped)],
+    )
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_mismatched_hash_types_on_subquery_output_rejected(spark, strategy):
+    """The sub-query's output types are known only once it has run: the
+    run is refused then, and releases the output it persisted."""
+    spec = _grouped_spec(spark, strategy, "string", "g_k")
+    before = _storage_bytes(spark)
+    with pytest.raises(ValueError, match=r"edge ints-g: i_k \(int\) and g_k \(string\)"):
+        run_query(spark, spec, strategy)
+    assert _storage_bytes(spark) == before
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_subquery_output_column_colliding_with_base_column_rejected(spark, strategy):
+    spec = _grouped_spec(spark, strategy, "int", "i_id")
+    before = _storage_bytes(spark)
+    with pytest.raises(ValueError, match="column i_id appears in both ints and g"):
+        run_query(spark, spec, strategy)
+    assert _storage_bytes(spark) == before

@@ -1,37 +1,63 @@
 """perfbench's tracer replaces functions by (module, attribute) where
-their callers look them up; a rename in ``repro`` must fail here rather
-than break a traced benchmark run later."""
+their callers look them up, and its metrics read what they return; a
+rename in ``repro`` must fail here rather than break a benchmark run
+later."""
 import importlib.util
 import sys
 from pathlib import Path
 
+import pandas as pd
+
 from repro.core import transfer
 from repro.core.spec import Edge
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name, monkeypatch):
+    """perfbench's module ``name``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_wrapped_hook_resolves(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, spans)  # for its dataclasses
-    spec.loader.exec_module(spans)
+    spans = _load("spans", monkeypatch)
     for module, attr, _name in spans.WRAPS:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
+def test_bloom_micro_reports_every_rate(monkeypatch):
+    layers = _load("layers", monkeypatch)
+    rates = layers.bloom_micro([pd.Series(range(1000))], 0)
+    assert set(rates) == {"bloom.hash_mkeys_s", "bloom.add_mkeys_s", "bloom.contains_mkeys_s"}
+    assert all(r > 0 for r in rates.values())
+
+
 def test_transfer_calls_bloom_functions_through_its_globals(toy, monkeypatch):
     """Pred-Trans's builds and probes go through ``transfer.build_blooms``
-    and ``transfer.apply_blooms``, the attributes the tracer wraps."""
-    calls = []
+    and ``transfer.apply_blooms``, the attributes the tracer wraps; each
+    filter built has the ``n_bits`` and ``bit_count`` that
+    ``layers.run_metrics`` reads."""
+    calls = []  # (function name, result)
     for name in ("build_blooms", "apply_blooms"):
         fn = getattr(transfer, name)
-        monkeypatch.setattr(
-            transfer, name, lambda *a, _fn=fn, _n=name: calls.append(_n) or _fn(*a)
-        )
+
+        def recording(*a, _fn=fn, _n=name):
+            calls.append((_n, _fn(*a)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(transfer, name, recording)
     edges = [Edge("R", ("r_a",), "S", ("s_a",)), Edge("S", ("s_b",), "T", ("t_b",))]
     _, stats = transfer.predicate_transfer(toy, edges, {"R": 3, "S": 4, "T": 3})
-    assert calls.count("build_blooms") == stats.n_scans == 3
+    names = [n for n, _ in calls]
+    assert names.count("build_blooms") == stats.n_scans == 3
     # Each table's received filters are probed once: S's two forward ones
     # before it sends backward, then R's and T's at the end.
-    assert calls.count("apply_blooms") == 3
+    assert names.count("apply_blooms") == 3
+    filters = [f for n, out in calls if n == "build_blooms" for f in out]
+    assert len(filters) == stats.n_filters_built
+    for f in filters:
+        assert isinstance(f.n_bits, int) and 0 <= f.bit_count <= f.n_bits

@@ -1,8 +1,10 @@
-"""Tests for the QuerySpec layer: alias renaming and validation."""
+"""Tests for the QuerySpec layer: alias renaming, validation and the
+schema check."""
 import pandas as pd
 import pytest
 
-from repro.core.spec import Edge, QuerySpec, SubQuery, TableRef, rename_prefix, validate
+from repro.core.spec import Edge, QuerySpec, SubQuery, TableRef, rename_prefix, schema_problems
+from repro.core.spec import validate
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +28,11 @@ def _spec(R, S, T, **over):
     )
     kw.update(over)
     return QuerySpec(**kw)
+
+
+def _tables(spec):
+    """The base tables of ``spec`` by name, as ``run_query`` resolves them."""
+    return {t: ref.df for t, ref in spec.tables.items()}
 
 
 class TestTableRef:
@@ -55,7 +62,9 @@ class TestRenamePrefix:
 
 class TestValidate:
     def test_valid_spec_has_no_problems(self, dfs):
-        assert validate(_spec(*dfs)) == []
+        spec = _spec(*dfs)
+        assert validate(spec) == []
+        assert schema_problems(spec, _tables(spec)) == []
 
     def test_join_order_must_cover_tables(self, dfs):
         assert validate(_spec(*dfs, join_order=["R", "S"]))
@@ -74,7 +83,8 @@ class TestValidate:
             Edge("R", ("r_missing",), "S", ("s_a",)),
             Edge("S", ("s_b",), "T", ("t_b",)),
         ])
-        assert any("lacks edge columns" in p for p in validate(bad))
+        assert validate(bad) == []
+        assert any("lacks edge columns" in p for p in schema_problems(bad, _tables(bad)))
 
     def test_duplicate_columns_across_tables(self, dfs, spark):
         R, S, T = dfs
@@ -83,7 +93,8 @@ class TestValidate:
             Edge("R", ("r_a",), "S", ("r_a",)),
             Edge("S", ("s_b",), "T", ("t_b",)),
         ])
-        assert any("appears in both" in p for p in validate(bad))
+        assert validate(bad) == []
+        assert any("appears in both" in p for p in schema_problems(bad, _tables(bad)))
 
     def test_disconnected_join_order(self, dfs):
         R, S, T = dfs

@@ -181,8 +181,8 @@ def _sized_for(sizes, src):
 def test_pred_trans_filters_sized_by_sender(spark, tpch_small, monkeypatch):
     built, build = [], transfer.build_blooms
 
-    def recording(df, specs):
-        built.append(build(df, specs))
+    def recording(df, key_sets, items):
+        built.append(build(df, key_sets, items))
         return built[-1]
 
     monkeypatch.setattr(transfer, "build_blooms", recording)
