@@ -25,10 +25,21 @@ def run(spark: SparkSession, name: str, strategy: str, sf: float, verify: bool =
 
 def format_sizes(rr) -> str:
     """One ``table: sizes → reduced_sizes`` line per table, ``?`` for a
-    size the strategy does not record (Bloom Join reduces no table)."""
+    size the strategy does not record (Bloom Join counts only the tables
+    that send filters and reduces none)."""
     tables = list(rr.sizes) or list(rr.reduced_sizes)
     return "\n".join(
         f"  {t}: {rr.sizes.get(t, '?')} → {rr.reduced_sizes.get(t, '?')}" for t in tables
+    )
+
+
+def format_transfers(stats) -> str:
+    """One ``src → dst (src_cols → dst_cols)`` line per transfer that ran,
+    in schedule order."""
+    return "\n".join(
+        f"  {d.src} → {d.dst} ({', '.join(d.src_cols)} → {', '.join(d.dst_cols)})"
+        for _, outs in stats.steps
+        for d in outs
     )
 
 
@@ -54,6 +65,9 @@ def main(argv=None) -> None:
     if rr.sizes or rr.reduced_sizes:
         print("table: rows after local predicates → after the pre-filter phase")
         print(format_sizes(rr))
+    if rr.transfer_stats and rr.transfer_stats.steps:
+        print("transfers, in the order they ran:")
+        print(format_transfers(rr.transfer_stats))
     rr.cleanup()
     data.unpersist()
 

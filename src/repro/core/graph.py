@@ -1,7 +1,8 @@
 """Join-graph algorithms: predicate-transfer-graph orientation, topological
-scheduling, the BFS join tree used by the Yannakakis baseline, and the
+scheduling, the BFS join tree used by the Yannakakis baseline, the
 transfer schedules of the three pre-filter strategies (``dag_steps``,
-``tree_steps``, ``order_steps``).
+``tree_steps``, ``order_steps``), and the pruning of Pred-Trans's
+schedule to the transfers that carry a predicate (``carrying_steps``).
 
 Orientation implements the paper's §3.2 heuristic verbatim: every
 join-graph edge is kept and pointed from the smaller table to the
@@ -15,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from graphlib import TopologicalSorter
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 from repro.core.spec import Edge
 
@@ -156,6 +157,30 @@ def dag_steps(dag: Sequence[DirectedEdge], node_order: Sequence[str]) -> List[St
     for d in dag:
         outs.setdefault(d.src, []).append(d)
     return [(t, outs[t]) for t in node_order if t in outs]
+
+
+def carrying_steps(steps: Sequence[Step], filtered: Set[str]) -> List[Step]:
+    """``steps`` without the out-edges that carry no predicate: an edge
+    ``u → v`` whose source is not in ``filtered`` (no local predicate, no
+    sub-query) and has received nothing so far but messages from ``v``
+    over the same key columns, nothing at all included. Such a filter
+    holds ``u``'s keys reduced only by ``v``'s own, so it could only drop
+    ``v`` rows with no join partner in ``u``, which the join drops
+    anyway. A step left with no out-edge is dropped too."""
+    received: Dict[str, Set[Tuple[str, Tuple[str, ...], Tuple[str, ...]]]] = {}
+    out: List[Step] = []
+    for src, outs in steps:
+        heard = received.get(src, set())
+        kept = [
+            d
+            for d in outs
+            if src in filtered or not heard <= {(d.dst, d.dst_cols, d.src_cols)}
+        ]
+        for d in kept:
+            received.setdefault(d.dst, set()).add((d.src, d.src_cols, d.dst_cols))
+        if kept:
+            out.append((src, kept))
+    return out
 
 
 def tree_steps(tree: JoinTree) -> List[Step]:

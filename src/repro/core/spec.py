@@ -17,7 +17,7 @@ Figure-4 robustness experiment a one-liner.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from pyspark.sql import Column, DataFrame
 
@@ -133,6 +133,16 @@ class QuerySpec:
 
     def edges_of(self, table: str) -> List[Edge]:
         return [e for e in self.edges if table in (e.left, e.right)]
+
+    @property
+    def filtered(self) -> Set[str]:
+        """Tables with a predicate of their own to transfer: a local
+        predicate, or a sub-query's output in place of a base table."""
+        return {
+            t
+            for t, ref in self.tables.items()
+            if ref.predicate is not None or ref.subquery is not None
+        }
 
 
 def rename_prefix(df: DataFrame, old: str, new: str) -> DataFrame:

@@ -9,8 +9,9 @@ one join-phase executor:
   (forward + backward), then the join phase on the reduced tables.
 - ``pred_trans``    — the paper's contribution: Bloom filters
   transferred across the whole join graph (forward + backward passes
-  over the small→big DAG), then the join phase, whose scans apply the
-  received filters (nothing is materialized in between).
+  over the small→big DAG, each transfer that carries a predicate), then
+  the join phase, whose scans apply the received filters (nothing is
+  materialized in between).
 
 ``run_query`` is the "optimizer rule" of this reproduction: it takes
 the logical block (``QuerySpec``) and emits/executes the rewritten
@@ -55,7 +56,10 @@ class RunResult:
     join_s: float = 0.0  # join phase incl. finalize + collect
     measures: List[JoinMeasure] = field(default_factory=list)
     scalars: Dict[str, float] = field(default_factory=dict)  # scalar sub-queries
-    sizes: Dict[str, int] = field(default_factory=dict)  # filtered inputs
+    #: Rows after local predicates, counted only where read: every table
+    #: under Pred-Trans (filter sizes and the DAG's orientation; none for a
+    #: block without edges), Bloom Join's senders; empty otherwise.
+    sizes: Dict[str, int] = field(default_factory=dict)
     #: Rows left after the pre-filter phase (Yannakakis and Pred-Trans).
     #: Pred-Trans reads them from observations on the join phase's own
     #: action, so a run with ``collect=False`` (a sub-query) leaves this empty.
@@ -183,11 +187,12 @@ def _observed_counts(
     return {t: counted[t] if t in missed else row.getLong(0) for t, row in rows.items()}
 
 
-def _bloom_join_step_blooms(spec, tables, sizes, order):
+def _bloom_join_step_blooms(steps, tables, sizes):
     """One-hop blooms: each incoming table's filters for the tables
-    already placed, built from its locally-filtered rows in one scan."""
+    already placed (``graph.order_steps``), built from its
+    locally-filtered rows in one scan."""
     send = bloom_sender(sizes)
-    return {t: send(t, tables[t], outs) for t, outs in order_steps(spec.edges, order)}
+    return {t: send(t, tables[t], outs) for t, outs in steps}
 
 
 def run_query(
@@ -219,15 +224,17 @@ def run_query(
 
         t0 = time.perf_counter()
         reduced, step_blooms = tables, None
-        if strategy in ("bloom_join", "pred_trans"):
-            # Exact filtered-input cardinalities: bloom sizing + (for
-            # pred_trans) the small→big orientation heuristic. Counted
-            # here because it is planning work of the pre-filter phase.
-            res.sizes = _count_all(tables)
+        # Exact filtered-input cardinalities (``RunResult.sizes``), counted
+        # here because it is planning work of the pre-filter phase.
         if strategy == "pred_trans":
-            reduced, res.transfer_stats = predicate_transfer(tables, spec.edges, res.sizes)
+            res.sizes = _count_all(tables) if spec.edges else {}
+            reduced, res.transfer_stats = predicate_transfer(
+                tables, spec.edges, res.sizes, spec.filtered
+            )
         elif strategy == "bloom_join":
-            step_blooms = _bloom_join_step_blooms(spec, tables, res.sizes, order)
+            steps = order_steps(spec.edges, order)
+            res.sizes = _count_all({t: tables[t] for t, _ in steps}) if steps else {}
+            step_blooms = _bloom_join_step_blooms(steps, tables, res.sizes)
         elif strategy == "yannakakis":
             reduced, _ = yannakakis_reduce(tables, spec.edges, order[0])
             # Materialize the exact semi-join reductions, so the

@@ -10,12 +10,16 @@ edge's destination and applies a table's queued messages once
 
 - **Pred-Trans** (the paper's contribution, §3.2): a forward pass over
   the small→big DAG in topological order, then a backward pass over the
-  reversed DAG (minus §3.4 one-way edges). A step builds one Bloom filter
-  per distinct key set of its out-edges in a single scan
-  (``bloom_sender``); ``apply_blooms`` probes them. The reduced tables
-  stay lazy for the join phase's scans to probe. Sound by construction:
-  a Bloom filter has no false negatives, so only rows whose join key is
-  absent from the (already reduced) neighbour are dropped.
+  reversed DAG (minus §3.4 one-way edges), less every transfer that
+  carries no predicate (``graph.carrying_steps``): one from a table with
+  no predicate of its own that has heard nothing, or only its
+  destination over the same keys. A step builds one Bloom filter per
+  distinct key set of its out-edges in a single scan (``bloom_sender``);
+  ``apply_blooms`` probes them. The reduced tables stay lazy for the
+  join phase's scans to probe. Sound by construction: a Bloom filter has
+  no false negatives, so only rows whose join key is absent from the
+  (already reduced) neighbour are dropped, and a transfer left out only
+  keeps more rows.
 - **Bloom Join** (§2.1) sends with the same ``bloom_sender`` over
   ``order_steps``, but its filters probe the accumulated join plan
   (``executor.execute_join_phase``), so it does not walk ``run_steps``.
@@ -31,13 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Set, Tuple
 
 from pyspark.sql import DataFrame
 
 from repro.bloom.spark_bloom import apply_blooms, build_blooms
-from repro.core.graph import DirectedEdge, JoinTree, Step, bfs_join_tree, dag_steps, orient
-from repro.core.graph import reverse_dag, topological_order, tree_steps
+from repro.core.graph import DirectedEdge, JoinTree, Step, bfs_join_tree, carrying_steps
+from repro.core.graph import dag_steps, orient, reverse_dag, topological_order, tree_steps
 from repro.core.spec import Edge
 
 
@@ -99,16 +103,24 @@ def bloom_sender(sizes: Mapping[str, int]) -> Callable:
 
 
 def predicate_transfer(
-    tables: Mapping[str, DataFrame], edges: Sequence[Edge], sizes: Mapping[str, int]
+    tables: Mapping[str, DataFrame],
+    edges: Sequence[Edge],
+    sizes: Mapping[str, int],
+    filtered: Set[str],
 ) -> Tuple[Dict[str, DataFrame], TransferStats]:
-    """Run both passes with filters sized by ``sizes`` (``bloom_sender``);
-    returns per-table reduced DataFrames and the transfer statistics. The
-    reduced tables are lazy: each is its input plus the filters over every
-    Bloom filter it received, which the join phase's scans apply (nothing
-    is materialized here)."""
+    """Run both passes with filters sized by ``sizes`` (``bloom_sender``),
+    less the transfers that carry no predicate: ``filtered`` names the
+    tables with a predicate of their own (``QuerySpec.filtered``), and
+    ``graph.carrying_steps`` drops every transfer from another table that
+    has heard nothing, or only its destination over the same keys.
+    Returns per-table reduced DataFrames and the transfer statistics of
+    the schedule that ran. The reduced tables are lazy: each is its input
+    plus the filters over every Bloom filter it received, which the join
+    phase's scans apply (nothing is materialized here)."""
     dag = orient(edges, sizes)
     topo = topological_order(list(tables), dag)
-    steps = dag_steps(dag, topo) + dag_steps(reverse_dag(dag), topo[::-1])
+    both = dag_steps(dag, topo) + dag_steps(reverse_dag(dag), topo[::-1])
+    steps = carrying_steps(both, filtered)
     reduced = run_steps(tables, steps, bloom_sender(sizes), apply_blooms)
     return reduced, TransferStats(dag, topo, steps)
 

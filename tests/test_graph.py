@@ -3,6 +3,7 @@ import pytest
 
 from repro.core.graph import (
     bfs_join_tree,
+    carrying_steps,
     dag_steps,
     order_steps,
     orient,
@@ -208,6 +209,13 @@ class TestBfsJoinTree:
         assert t1.bfs_order != t2.bfs_order
 
 
+def _both_passes(edges, sizes):
+    """Pred-Trans's forward and backward passes, before pruning."""
+    dag = orient(edges, sizes)
+    topo = topological_order(list(sizes), dag)
+    return dag_steps(dag, topo) + dag_steps(reverse_dag(dag), topo[::-1])
+
+
 def _moves(steps):
     """Steps as (src, dst of each out-edge...), for comparison."""
     return [(src, *[d.dst for d in outs]) for src, outs in steps]
@@ -271,3 +279,46 @@ class TestSchedules:
         ]
         assert _moves(order_steps(ltr, ["R", "S", "T"])) == [("T", "S")]
         assert _moves(order_steps(ltr, ["T", "S", "R"])) == [("S", "T"), ("R", "S")]
+
+    # Pred-Trans sends no transfer that carries no predicate.
+    def test_q12_shape_keeps_forward_step_only(self):
+        # Filtered lineitem is smaller than orders, which has no predicate:
+        # orders hears only lineitem, so its backward filter is an echo.
+        edges = [Edge("orders", ("o_ok",), "lineitem", ("l_ok",))]
+        both = _both_passes(edges, {"orders": 7500, "lineitem": 1100})
+        assert _moves(both) == [("lineitem", "orders"), ("orders", "lineitem")]
+        assert _moves(carrying_steps(both, {"lineitem"})) == [("lineitem", "orders")]
+
+    def test_q04_shape_unchanged(self):
+        edges = [Edge("orders", ("o_ok",), "lineitem", ("l_ok",), how="semi")]
+        both = _both_passes(edges, {"orders": 300, "lineitem": 19000})
+        assert carrying_steps(both, {"orders", "lineitem"}) == both
+
+    def test_unfiltered_source_that_heard_nothing_is_dropped(self):
+        # R is the smallest table and has no predicate: its forward filter
+        # holds all of R's keys; S and T still send.
+        both = _both_passes(_chain_edges(), {"R": 2, "S": 4, "T": 3})
+        assert _moves(both) == [("R", "S"), ("T", "S"), ("S", "R", "T")]
+        assert _moves(carrying_steps(both, {"S", "T"})) == [("T", "S"), ("S", "R", "T")]
+
+    def test_echo_dropped_but_other_edges_kept(self):
+        # S has no predicate and hears only R: its filter back to R is an
+        # echo, its filter to T carries R's predicate. T, unfiltered and
+        # unheard in the forward pass, sends nothing.
+        both = _both_passes(_chain_edges(), {"R": 2, "S": 4, "T": 3})
+        assert _moves(carrying_steps(both, {"R"})) == [("R", "S"), ("S", "T")]
+
+    def test_echo_on_other_keys_kept(self):
+        # Two edges between A and B: what B sends back over one edge is
+        # also reduced by the filter it heard over the other.
+        edges = [
+            Edge("A", ("a1",), "B", ("b1",)),
+            Edge("A", ("a2",), "B", ("b2",), transfer="ltr"),
+        ]
+        both = _both_passes(edges, {"A": 2, "B": 9})
+        assert _moves(both) == [("A", "B", "B"), ("B", "A")]
+        assert carrying_steps(both, {"A"}) == both
+
+    def test_every_table_filtered_keeps_schedule(self):
+        both = _both_passes(_q5ish_edges(), _Q5_SIZES)
+        assert carrying_steps(both, set(_Q5_SIZES)) == both

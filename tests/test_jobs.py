@@ -52,5 +52,15 @@ def test_run_query_job(spark):
     assert [m[1] for m in parsed] == ["customer", "orders", "lineitem"]
     for m in parsed:
         assert int(m[2]) == rr.sizes[m[1]] >= int(m[3]) == rr.reduced_sizes[m[1]]
+    # Every q03 table has a local predicate: both passes send over both edges.
+    lines = run_query_job.format_transfers(rr.transfer_stats).splitlines()
+    parsed = [re.fullmatch(r"  (\w+) → (\w+) \((\w+) → (\w+)\)", line) for line in lines]
+    assert all(parsed), lines
+    assert [m.groups() for m in parsed] == [
+        (d.src, d.dst, *d.src_cols, *d.dst_cols)
+        for _, outs in rr.transfer_stats.steps
+        for d in outs
+    ]
+    assert len(parsed) == 4
     rr.cleanup()
     data.unpersist()

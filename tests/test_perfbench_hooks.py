@@ -51,7 +51,7 @@ def test_transfer_calls_bloom_functions_through_its_globals(toy, monkeypatch):
 
         monkeypatch.setattr(transfer, name, recording)
     edges = [Edge("R", ("r_a",), "S", ("s_a",)), Edge("S", ("s_b",), "T", ("t_b",))]
-    _, stats = transfer.predicate_transfer(toy, edges, {"R": 3, "S": 4, "T": 3})
+    _, stats = transfer.predicate_transfer(toy, edges, {"R": 3, "S": 4, "T": 3}, set(toy))
     names = [n for n, _ in calls]
     assert names.count("build_blooms") == stats.n_scans == 3
     # Each table's received filters are probed once: S's two forward ones

@@ -43,7 +43,7 @@ class TestReductionLattice:
                 df = df.filter(ref.predicate)
             tables[name] = df
         sizes = {t: df.count() for t, df in tables.items()}
-        reduced, _ = predicate_transfer(tables, spec.edges, sizes)
+        reduced, _ = predicate_transfer(tables, spec.edges, sizes, set(tables))
         for t in ("lineitem", "orders", "customer"):
             assert reduced[t].exceptAll(tables[t]).count() == 0
 

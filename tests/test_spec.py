@@ -152,3 +152,16 @@ class TestValidate:
         spec = _spec(*dfs)
         assert len(spec.edges_of("S")) == 2
         assert len(spec.edges_of("R")) == 1
+
+    def test_filtered_tables(self, dfs):
+        R, S, T = dfs
+        spec = _spec(
+            R, S, T,
+            tables={
+                "R": TableRef(df=R),
+                "S": TableRef(df=S, predicate=S["s_b"] > 0),
+                "T": TableRef(subquery="x"),
+            },
+        )
+        assert spec.filtered == {"S", "T"}
+        assert _spec(*dfs).filtered == set()
