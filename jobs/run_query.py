@@ -25,7 +25,7 @@ def run(spark: SparkSession, name: str, strategy: str, sf: float, verify: bool =
 
 def format_sizes(rr) -> str:
     """One ``table: sizes → reduced_sizes`` line per table, ``?`` for a
-    size the strategy does not record (Bloom Join counts only the tables
+    size the strategy does not record (Bloom Join sizes only the tables
     that send filters and reduces none)."""
     tables = list(rr.sizes) or list(rr.reduced_sizes)
     return "\n".join(

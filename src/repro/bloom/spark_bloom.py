@@ -152,7 +152,9 @@ def build_blooms(
         jvm_column(spark, AGGREGATE, _key_hash(df, cols), *size_args, agg=True)
         for cols in key_sets
     ]
-    row = df.agg(*[a.alias(f"b{i}") for i, a in enumerate(aggs)]).first()
+    # ``collect``, not ``first``: a global aggregate has one row, and
+    # ``first`` would plan it a second time under a limit.
+    (row,) = df.agg(*[a.alias(f"b{i}") for i, a in enumerate(aggs)]).collect()
     filters = [
         SparkBloomFilter.parse(_empty_filter(spark, items, n_bits) if raw is None else raw)
         for raw in row

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 from functools import reduce as _reduce
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from py4j.protocol import Py4JError
 from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
@@ -37,6 +38,12 @@ from repro.core.spec import QuerySpec, schema_problems, validate
 from repro.core.transfer import TransferStats, bloom_sender, predicate_transfer, yannakakis_reduce
 
 STRATEGIES = ("no_pred_trans", "bloom_join", "yannakakis", "pred_trans")
+
+#: The Spark internals ``_cached_rows`` reads a cached table's row count through.
+CACHE_MANAGER = "org.apache.spark.sql.execution.CacheManager"
+CACHED_DATA = "org.apache.spark.sql.execution.CachedData"
+IN_MEMORY_RELATION = "org.apache.spark.sql.execution.columnar.InMemoryRelation"
+CACHE_BUILDER = "org.apache.spark.sql.execution.columnar.CachedRDDBuilder"
 
 
 @dataclass
@@ -56,9 +63,11 @@ class RunResult:
     join_s: float = 0.0  # join phase incl. finalize + collect
     measures: List[JoinMeasure] = field(default_factory=list)
     scalars: Dict[str, float] = field(default_factory=dict)  # scalar sub-queries
-    #: Rows after local predicates, counted only where read: every table
-    #: under Pred-Trans (filter sizes and the DAG's orientation; none for a
-    #: block without edges), Bloom Join's senders; empty otherwise.
+    #: Rows after local predicates, only where read: every table under
+    #: Pred-Trans (filter sizes and the DAG's orientation; none for a
+    #: block without edges), Bloom Join's senders; empty otherwise. A
+    #: table that is a persisted, fully cached DataFrame (a base table, a
+    #: sub-query output) takes its count from Spark's cache (``_sizes``).
     sizes: Dict[str, int] = field(default_factory=dict)
     #: Rows left after the pre-filter phase (Yannakakis and Pred-Trans).
     #: Pred-Trans reads them from observations on the join phase's own
@@ -118,6 +127,42 @@ def _count_all(tables: Dict[str, DataFrame]) -> Dict[str, int]:
         for t, df in tables.items()
     ]
     return {r["t"]: r["n"] for r in _reduce(DataFrame.unionAll, branches).collect()}
+
+
+def _cached_rows(df: DataFrame) -> Optional[int]:
+    """``df``'s exact row count if ``df`` is itself a persisted plan with
+    every partition cached, else ``None``. Spark's cache builder counts
+    the rows as it caches them, so reading the count runs no job. A filter
+    over a cached table is a plan of its own and gives ``None``; so does a
+    table persisted but not (or only partly) materialized yet.
+
+    Reads neither ``df``'s optimized plan nor its ``stats()``: both are
+    computed once per Dataset, and may predate the cache."""
+    try:
+        cache = df.sparkSession._jsparkSession.sharedState().cacheManager()
+        cached = cache.lookupCachedData(df._jdf)
+        if cached.isEmpty():
+            return None
+        relation = cached.get().cachedRepresentation()
+        if not relation.cacheBuilder().isCachedColumnBuffersLoaded():
+            return None
+        rows = relation.computeStats().rowCount()
+        return None if rows.isEmpty() else int(rows.get())
+    except (Py4JError, TypeError) as e:
+        raise RuntimeError(
+            f"Spark {df.sparkSession.version}: cannot read a cached row count through "
+            f"{CACHE_MANAGER}.lookupCachedData, {CACHED_DATA}, {IN_MEMORY_RELATION} "
+            f"and {CACHE_BUILDER}"
+        ) from e
+
+
+def _sizes(tables: Dict[str, DataFrame]) -> Dict[str, int]:
+    """Exact row counts of ``tables``: from Spark's cache where it holds
+    one (``_cached_rows``), the rest counted in one action, and no action
+    at all when nothing is left to count."""
+    sizes = {t: _cached_rows(df) for t, df in tables.items()}
+    missed = {t: tables[t] for t, n in sizes.items() if n is None}
+    return {**sizes, **(_count_all(missed) if missed else {})}
 
 
 def _observe_counts(
@@ -224,16 +269,17 @@ def run_query(
 
         t0 = time.perf_counter()
         reduced, step_blooms = tables, None
-        # Exact filtered-input cardinalities (``RunResult.sizes``), counted
-        # here because it is planning work of the pre-filter phase.
+        # Exact filtered-input cardinalities (``RunResult.sizes``), read
+        # here because they are planning work of the pre-filter phase: a
+        # persisted table's from the cache, the rest in one count.
         if strategy == "pred_trans":
-            res.sizes = _count_all(tables) if spec.edges else {}
+            res.sizes = _sizes(tables) if spec.edges else {}
             reduced, res.transfer_stats = predicate_transfer(
                 tables, spec.edges, res.sizes, spec.filtered
             )
         elif strategy == "bloom_join":
             steps = order_steps(spec.edges, order)
-            res.sizes = _count_all({t: tables[t] for t, _ in steps}) if steps else {}
+            res.sizes = _sizes({t: tables[t] for t, _ in steps})
             step_blooms = _bloom_join_step_blooms(steps, tables, res.sizes)
         elif strategy == "yannakakis":
             reduced, _ = yannakakis_reduce(tables, spec.edges, order[0])

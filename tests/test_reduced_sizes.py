@@ -1,9 +1,12 @@
 """Pred-Trans hands its lazy reduced tables to the join phase and reads
 their sizes from ``Observation`` metrics on the join phase's action: the
 sizes must stay exact, and nothing may be persisted or counted for them
-on the way. Yannakakis still materializes its exact semi-joins, and a
-run that raises releases whatever it persisted."""
+on the way. The sizes after local predicates (``RunResult.sizes``) are
+exact too, read from Spark's cache for a persisted table and counted
+only for the rest. Yannakakis still materializes its exact semi-joins,
+and a run that raises releases whatever it persisted."""
 import time
+from types import SimpleNamespace
 
 import pytest
 from pyspark.sql import Observation
@@ -66,7 +69,8 @@ def _storage_bytes(spark):
     return now
 
 
-def test_pred_trans_persists_nothing_and_counts_once(spark, tpch_small, monkeypatch):
+def _counted(monkeypatch):
+    """The sorted table names of every ``strategies._count_all`` call."""
     calls = []
     count_all = strategies._count_all
 
@@ -75,15 +79,86 @@ def test_pred_trans_persists_nothing_and_counts_once(spark, tpch_small, monkeypa
         return count_all(tables)
 
     monkeypatch.setattr(strategies, "_count_all", counting)
+    return calls
+
+
+def test_pred_trans_persists_nothing_and_counts_once(spark, tpch_small, monkeypatch):
+    """The one count is the size count, of the tables with a local
+    predicate: the others are persisted base tables, read from the cache."""
+    calls = _counted(monkeypatch)
     spec = queries.build("q05", tpch_small.spark)
     before = _storage_bytes(spark)
     rr = run_query(spark, spec, "pred_trans")
     try:
         assert _storage_bytes(spark) == before
-        assert calls == [sorted(spec.tables)], "only the size count runs"
-        assert set(rr.reduced_sizes) == set(spec.tables)
+        with_predicate = sorted(t for t, ref in spec.tables.items() if ref.predicate is not None)
+        assert with_predicate == ["orders", "region"]
+        assert calls == [with_predicate], "only the size count runs"
+        assert set(rr.sizes) == set(rr.reduced_sizes) == set(spec.tables)
     finally:
         rr.cleanup()
+
+
+@pytest.mark.parametrize("strategy", ["pred_trans", "bloom_join"])
+@pytest.mark.parametrize("name", queries.ALL)
+def test_sizes_exact(spark, tpch_small, monkeypatch, name, strategy):
+    """Every size a run reads, in the main block and in each sub-query
+    block, equals a ``count()`` of its table, whether it came from the
+    cache (a base table, a sub-query output such as q02's, q11's, q17's
+    and q18's) or from the count."""
+    calls = []
+    sizes = strategies._sizes
+
+    def recording(tables):
+        calls.append((tables, sizes(tables)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(strategies, "_sizes", recording)
+    spec = queries.build(name, tpch_small.spark)
+    rr = run_query(spark, spec, strategy)
+    try:
+        assert calls and rr.sizes == calls[-1][1], "the main block's sizes run last"
+        if strategy == "pred_trans":
+            assert set(rr.sizes) == set(spec.tables)
+        for tables, got in calls:
+            assert got == {t: df.count() for t, df in tables.items()}
+    finally:
+        rr.cleanup()
+
+
+def test_q12_counts_only_the_filtered_table(spark, tpch_small, monkeypatch):
+    """q12's ``orders`` has no predicate: Pred-Trans reads its size from
+    the cache and counts only ``lineitem``; Bloom Join's one sender is
+    ``orders``, so it counts nothing and its pre-filter phase is the one
+    filter build's Spark job."""
+    calls = _counted(monkeypatch)
+    spec = queries.build("q12", tpch_small.spark)
+    rr = run_query(spark, spec, "pred_trans")
+    rr.cleanup()
+    assert calls == [["lineitem"]]
+    assert set(rr.sizes) == {"orders", "lineitem"}
+    assert rr.sizes["orders"] == len(tpch_small.pandas["orders"])
+
+    calls.clear()
+    sc = spark.sparkContext
+    join_phase = strategies.execute_join_phase
+
+    def in_join_group(*args, **kwargs):
+        sc.setJobGroup("q12-join", "join phase")
+        return join_phase(*args, **kwargs)
+
+    monkeypatch.setattr(strategies, "execute_join_phase", in_join_group)
+    sc.setJobGroup("q12-prefilter", "pre-filter phase")
+    try:
+        rr = run_query(spark, spec, "bloom_join")
+        rr.cleanup()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert calls == []
+    assert rr.sizes == {"orders": len(tpch_small.pandas["orders"])}
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    assert len(sc.statusTracker().getJobIdsForGroup("q12-prefilter")) == 1
+    assert sc.statusTracker().getJobIdsForGroup("q12-join"), "the join phase ran"
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -149,6 +224,44 @@ def test_prepartitioned_input_counted_exactly(spark):
 class TestSparkInternals:
     """The sizes rely on Spark behaviour that is not public API: an
     upgrade that changes it must fail here."""
+
+    @pytest.mark.parametrize(
+        "name, methods",
+        [
+            (strategies.CACHE_MANAGER, ["lookupCachedData"]),
+            (strategies.CACHED_DATA, ["cachedRepresentation"]),
+            (strategies.IN_MEMORY_RELATION, ["cacheBuilder", "computeStats"]),
+            (strategies.CACHE_BUILDER, ["isCachedColumnBuffersLoaded"]),
+        ],
+    )
+    def test_cache_methods_present(self, spark, name, methods):
+        present = {m.getName() for m in spark._jvm.java.lang.Class.forName(name).getMethods()}
+        assert set(methods) <= present, f"{name} lacks {set(methods) - present}"
+
+    def test_cached_rows_only_once_fully_cached(self, spark):
+        """A sample's plan statistics estimate 500 rows; only the cache
+        builder's count, once every partition is cached, is exact."""
+        df = spark.range(0, 1000, 1, 4).sample(fraction=0.5, seed=7)
+        stats = df._jdf.queryExecution().optimizedPlan().stats().rowCount()
+        assert stats.get() == 500, "the plan's estimate"
+        assert strategies._cached_rows(df) is None, "not persisted"
+        df.persist()
+        try:
+            assert strategies._cached_rows(df) is None, "persisted, not materialized"
+            df.limit(1).collect()
+            assert strategies._cached_rows(df) is None, "one partition of four cached"
+            exact = df.count()
+            assert exact != 500 and strategies._cached_rows(df) == exact
+            assert strategies._cached_rows(df.filter("id < 70")) is None, "a filter over it"
+        finally:
+            df.unpersist()
+
+    def test_cached_rows_api_change_is_named(self, spark):
+        """A call py4j cannot resolve (here: a ``_jdf`` of the wrong type)
+        fails by name instead of falling back to a count."""
+        wrong = SimpleNamespace(sparkSession=spark, _jdf=spark._jvm.java.lang.Object())
+        with pytest.raises(RuntimeError, match="CacheManager.lookupCachedData"):
+            strategies._cached_rows(wrong)
 
     def test_fired_observation_is_one_long(self, spark):
         obs = Observation()
