@@ -14,22 +14,19 @@ import numpy as np
 
 from repro.bloom.hashing import mix64
 
-#: Hard cap on filter size (bits): 2^26 bits = 8 MiB of words. At the
-#: reproduction's scale factors (<= 600k keys per table) this is never
-#: binding; it bounds driver collect size if someone runs SF >= 1.
-MAX_BITS = 1 << 26
-
 _H2SEED = np.uint64(0x6A09E667F3BCC909)
 
 
 def optimal_params(expected_items: int, fpp: float = 0.01) -> tuple[int, int]:
     """Standard Bloom sizing: (n_bits, n_hashes) for ``expected_items``
-    at false-positive rate ``fpp``. Floors keep degenerate inputs sane."""
+    at false-positive rate ``fpp``. Floors keep degenerate inputs sane;
+    the only cap on a Spark filter's size is Spark's own
+    ``spark.sql.optimizer.runtime.bloomFilter.maxNumBits``."""
     n = max(1, int(expected_items))
     n_bits = int(math.ceil(-n * math.log(fpp) / (math.log(2) ** 2)))
     # 1024-bit floor: a tiny (e.g. 64-bit) filter saturates after a
     # handful of keys and produces *deterministic* false positives.
-    n_bits = min(MAX_BITS, max(1024, n_bits))
+    n_bits = max(1024, n_bits)
     n_hashes = max(1, round(n_bits / n * math.log(2)))
     return n_bits, min(16, n_hashes)
 
@@ -44,24 +41,13 @@ class BloomFilter:
 
     __slots__ = ("n_bits", "n_hashes", "words", "_dense")
 
-    def __init__(self, n_bits: int, n_hashes: int, words: np.ndarray | None = None):
+    def __init__(self, n_bits: int, n_hashes: int):
         if n_bits < 1 or n_hashes < 1:
             raise ValueError("n_bits and n_hashes must be positive")
         self.n_bits = int(n_bits)
         self.n_hashes = int(n_hashes)
-        n_words = (self.n_bits + 63) // 64
-        if words is None:
-            words = np.zeros(n_words, dtype=np.uint64)
-        if words.dtype != np.uint64 or len(words) != n_words:
-            raise ValueError("words array does not match n_bits")
-        self.words = words
+        self.words = np.zeros((self.n_bits + 63) // 64, dtype=np.uint64)
         self._dense: np.ndarray | None = None
-
-    # -- construction -------------------------------------------------
-
-    @classmethod
-    def for_capacity(cls, expected_items: int, fpp: float = 0.01) -> "BloomFilter":
-        return cls(*optimal_params(expected_items, fpp))
 
     def _positions(self, hashed: np.ndarray, i: int) -> np.ndarray:
         h1 = hashed % np.uint64(self.n_bits)
@@ -102,32 +88,6 @@ class BloomFilter:
             out &= bit.astype(bool)
         return out
 
-    # -- merging / transport ------------------------------------------
-
-    def merge_(self, other: "BloomFilter") -> "BloomFilter":
-        """In-place union with a filter of identical parameters."""
-        if (other.n_bits, other.n_hashes) != (self.n_bits, self.n_hashes):
-            raise ValueError("cannot merge Bloom filters with different parameters")
-        self._flush()
-        other._flush()
-        self.words |= other.words
-        return self
-
-    def merge_words(self, raw: bytes) -> "BloomFilter":
-        """Union with a serialized word array (executor-side partial)."""
-        self._flush()
-        self.words |= np.frombuffer(raw, dtype=np.uint64)
-        return self
-
     def to_bytes(self) -> bytes:
         self._flush()
         return self.words.tobytes()
-
-    @property
-    def bit_count(self) -> int:
-        """Number of set bits (diagnostics / saturation checks)."""
-        self._flush()
-        return int(np.unpackbits(self.words.view(np.uint8)).sum())
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"BloomFilter(n_bits={self.n_bits}, k={self.n_hashes}, set={self.bit_count})"

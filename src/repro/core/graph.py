@@ -1,8 +1,9 @@
 """Join-graph algorithms: predicate-transfer-graph orientation, topological
 scheduling, the BFS join tree used by the Yannakakis baseline, the
 transfer schedules of the three pre-filter strategies (``dag_steps``,
-``tree_steps``, ``order_steps``), and the pruning of Pred-Trans's
-schedule to the transfers that carry a predicate (``carrying_steps``).
+``tree_steps``, and ``order_steps``, read off the left-deep plan of
+``spec.left_deep``), and the pruning of Pred-Trans's schedule to the
+transfers that carry a predicate (``carrying_steps``).
 
 Orientation implements the paper's §3.2 heuristic verbatim: every
 join-graph edge is kept and pointed from the smaller table to the
@@ -13,12 +14,11 @@ their only legal direction and dropped if that would close a cycle.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from graphlib import TopologicalSorter
 from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
-from repro.core.spec import Edge
+from repro.core.spec import Edge, left_deep
 
 
 @dataclass(frozen=True)
@@ -123,30 +123,32 @@ class JoinTree:
 def bfs_join_tree(nodes: Sequence[str], edges: Sequence[Edge], root: str) -> JoinTree:
     """Break cycles by BFS from ``root`` (the paper's §4.1 extension for
     cyclic queries like Q5/Q9); non-tree edges are dropped from the
-    semi-join phase."""
+    semi-join phase. The BFS follows the edges that may transfer; once
+    it is exhausted, a table reached only over a ``transfer="none"`` edge
+    joins the tree by that edge (``tree_steps`` sends nothing over it),
+    and the BFS goes on from there."""
     adj: Dict[str, List[Tuple[str, Edge]]] = {n: [] for n in nodes}
     for e in edges:
-        if e.transfer == "none":
-            continue
         adj[e.left].append((e.right, e))
         adj[e.right].append((e.left, e))
+    for near in adj.values():
+        near.sort(key=lambda p: p[0])
     parent: Dict[str, Tuple[str, Edge]] = {}
     order = [root]
     seen = {root}
-    used_edges = set()
-    q = deque([root])
-    while q:
-        u = q.popleft()
-        for v, e in sorted(adj[u], key=lambda p: p[0]):
-            if v not in seen:
-                seen.add(v)
-                parent[v] = (u, e)
-                used_edges.add(id(e))
-                order.append(v)
-                q.append(v)
+    while True:
+        # Edges from the tables reached, in BFS order, to the others.
+        out = [(u, v, e) for u in order for v, e in adj[u] if v not in seen]
+        if not out:
+            break
+        u, v, e = next((x for x in out if x[2].transfer != "none"), out[0])
+        seen.add(v)
+        parent[v] = (u, e)
+        order.append(v)
     if seen != set(nodes):
         raise ValueError(f"join graph disconnected from root {root}: missing {set(nodes)-seen}")
-    dropped = [e for e in edges if e.transfer != "none" and id(e) not in used_edges]
+    used = {id(e) for _, e in parent.values()}
+    dropped = [e for e in edges if e.transfer != "none" and id(e) not in used]
     return JoinTree(root=root, parent=parent, bfs_order=order, dropped_edges=dropped)
 
 
@@ -198,14 +200,11 @@ def tree_steps(tree: JoinTree) -> List[Step]:
 
 
 def order_steps(edges: Sequence[Edge], order: Sequence[str]) -> List[Step]:
-    """Bloom Join's schedule: as each table of the left-deep ``order``
-    joins, it sends over its edges to the tables placed before it, where
-    ``can_transfer_from`` allows."""
-    rank = {t: i for i, t in enumerate(order)}
-    back = [
-        _directed(e, t)
-        for e in edges
-        for t in (e.left, e.right)
-        if rank[e.other(t)] < rank[t] and e.can_transfer_from(t)
+    """Bloom Join's schedule, the left-deep plan of ``order``
+    (``spec.left_deep``): as each table joins, it sends over its edges to
+    the tables placed before it, where ``can_transfer_from`` allows."""
+    steps = [
+        (t, [_directed(e, t) for e in conn if e.can_transfer_from(t)])
+        for t, conn in left_deep(edges, order)
     ]
-    return dag_steps(back, order)
+    return [(t, outs) for t, outs in steps if outs]

@@ -122,15 +122,6 @@ class QuerySpec:
     oracle_sql: Optional[str] = None
     subqueries: List[SubQuery] = field(default_factory=list)
 
-    def connecting_edges(self, table: str, placed: set) -> List[Edge]:
-        """Edges linking ``table`` to the already-placed tables."""
-        return [
-            e
-            for e in self.edges
-            if (e.left == table and e.right in placed)
-            or (e.right == table and e.left in placed)
-        ]
-
     def edges_of(self, table: str) -> List[Edge]:
         return [e for e in self.edges if table in (e.left, e.right)]
 
@@ -159,6 +150,16 @@ def rename_prefix(df: DataFrame, old: str, new: str) -> DataFrame:
     )
 
 
+def left_deep(edges: Sequence[Edge], order: Sequence[str]) -> List[Tuple[str, List[Edge]]]:
+    """The left-deep plan of ``order``: each table after the first, with
+    the edges joining it to the tables before it, in ``edges`` order."""
+    return [
+        (t, [e for e in edges if t in (e.left, e.right) and e.other(t) in order[:i]])
+        for i, t in enumerate(order)
+        if i
+    ]
+
+
 def validate(spec: QuerySpec) -> List[str]:
     """Structural sanity checks that read no DataFrame, so they run
     before any Spark job; returns a list of problems (empty = ok)."""
@@ -175,27 +176,22 @@ def validate(spec: QuerySpec) -> List[str]:
             problems.append(f"table {name} references unknown subquery {ref.subquery}")
     for e in spec.edges:
         problems += [f"edge references unknown table {t}" for t in (e.left, e.right) if t not in spec.tables]
-        # A semi/anti edge's right table is a pure filter table: its columns
-        # are dropped by the join, so it must not participate in any other
-        # edge (they could never be satisfied afterwards).
-        if e.how in ("semi", "anti") and len(spec.edges_of(e.right)) != 1:
-            problems.append(
-                f"{e.right}: semi/anti table must connect via exactly one edge"
-            )
+    # A semi/anti edge's right table is a pure filter table: its columns
+    # are dropped by the join, so it must not participate in any other
+    # edge (they could never be satisfied afterwards).
+    for t in dict.fromkeys(e.right for e in spec.edges if e.how != "inner"):
+        if len(spec.edges_of(t)) != 1:
+            problems.append(f"{t}: semi/anti table mixes with other edges (needs exactly one edge)")
     # Left-deep order must keep the plan connected, and semi/anti tables
     # must be folded in as the edge's right side.
-    placed = {spec.join_order[0]} if spec.join_order else set()
-    for t in spec.join_order[1:]:
-        conn = spec.connecting_edges(t, placed)
+    for t, conn in left_deep(spec.edges, spec.join_order):
         if not conn:
             problems.append(f"join_order disconnects at {t} (cross join)")
-        special = [e for e in conn if e.how in ("semi", "anti")]
-        if special:
-            if len(conn) != 1:
-                problems.append(f"{t}: semi/anti table must connect via exactly one edge")
-            elif special[0].right != t:
-                problems.append(f"{t}: semi/anti table must be the edge's right side")
-        placed.add(t)
+        problems += [
+            f"{e.right}: semi/anti table must be joined after {e.left}, as the edge's right side"
+            for e in conn
+            if e.how != "inner" and e.right != t
+        ]
     for sub in spec.subqueries:
         problems += [f"[{sub.name}] {p}" for p in validate(sub.spec)]
     return problems

@@ -4,13 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bloom.filter import MAX_BITS, BloomFilter, optimal_params
+from repro.bloom.filter import BloomFilter, optimal_params
 from repro.bloom.hashing import mix64
 
 
 def _h(values) -> np.ndarray:
     """Mix raw ints the same way the Spark path does."""
     return mix64(np.asarray(values, dtype=np.int64).view(np.uint64))
+
+
+def _set_bits(f: BloomFilter) -> int:
+    return int(np.unpackbits(np.frombuffer(f.to_bytes(), dtype=np.uint8)).sum())
 
 
 class TestOptimalParams:
@@ -29,9 +33,6 @@ class TestOptimalParams:
         n_bits, k = optimal_params(0, 0.01)
         assert n_bits >= 64 and k >= 1
 
-    def test_cap(self):
-        assert optimal_params(10**12, 0.0001)[0] == MAX_BITS
-
     def test_one_percent_sizing_is_about_ten_bits_per_item(self):
         n_bits, k = optimal_params(10_000, 0.01)
         assert 9 * 10_000 <= n_bits <= 11 * 10_000
@@ -48,76 +49,52 @@ class TestBloomFilter:
         with pytest.raises(ValueError):
             BloomFilter(64, 0)
 
-    def test_rejects_mismatched_words(self):
-        with pytest.raises(ValueError):
-            BloomFilter(64, 2, words=np.zeros(5, dtype=np.uint64))
-        with pytest.raises(ValueError):
-            BloomFilter(64, 2, words=np.zeros(1, dtype=np.int64))
-
     def test_empty_filter_contains_nothing(self):
-        f = BloomFilter.for_capacity(100)
+        f = BloomFilter(*optimal_params(100))
         assert not f.contains_hashed(_h(range(1000))).any()
 
     @pytest.mark.parametrize("n", [1, 2, 100, 10_000])
     def test_no_false_negatives(self, n):
-        f = BloomFilter.for_capacity(n)
+        f = BloomFilter(*optimal_params(n))
         keys = np.arange(n) * 7 - 3
         f.add_hashed(_h(keys))
         assert f.contains_hashed(_h(keys)).all()
 
     def test_false_positive_rate_close_to_configured(self):
         n, fpp = 20_000, 0.01
-        f = BloomFilter.for_capacity(n, fpp)
+        f = BloomFilter(*optimal_params(n, fpp))
         f.add_hashed(_h(np.arange(n)))
         probes = np.arange(n, 5 * n)  # disjoint from inserted keys
         rate = f.contains_hashed(_h(probes)).mean()
         assert rate < 5 * fpp, f"observed fp rate {rate}"
 
     def test_add_is_idempotent(self):
-        f = BloomFilter.for_capacity(100)
+        f = BloomFilter(*optimal_params(100))
         f.add_hashed(_h([1, 2, 3]))
         before = f.to_bytes()
         f.add_hashed(_h([1, 2, 3]))
         assert f.to_bytes() == before
 
     def test_bit_count_grows_then_saturates_below_nbits(self):
-        f = BloomFilter.for_capacity(100, 0.01)
+        f = BloomFilter(*optimal_params(100, 0.01))
         f.add_hashed(_h([1]))
-        one = f.bit_count
+        one = _set_bits(f)
         assert 1 <= one <= f.n_hashes
         f.add_hashed(_h(np.arange(2, 100)))
-        assert one <= f.bit_count <= f.n_bits
-
-    def test_merge_is_union(self):
-        a = BloomFilter(1024, 4)
-        b = BloomFilter(1024, 4)
-        a.add_hashed(_h([1, 2]))
-        b.add_hashed(_h([3, 4]))
-        a.merge_(b)
-        assert a.contains_hashed(_h([1, 2, 3, 4])).all()
-
-    def test_merge_rejects_mismatched_params(self):
-        with pytest.raises(ValueError):
-            BloomFilter(1024, 4).merge_(BloomFilter(2048, 4))
-        with pytest.raises(ValueError):
-            BloomFilter(1024, 4).merge_(BloomFilter(1024, 5))
+        assert one <= _set_bits(f) <= f.n_bits
 
     def test_bytes_roundtrip(self):
-        a = BloomFilter(512, 3)
-        a.add_hashed(_h(range(50)))
-        b = BloomFilter(512, 3)
-        b.merge_words(a.to_bytes())
-        assert (a.words == b.words).all()
-
-    def test_merge_words_is_union(self):
-        a, b = BloomFilter(512, 3), BloomFilter(512, 3)
-        a.add_hashed(_h([1]))
-        b.add_hashed(_h([2]))
-        b.merge_words(a.to_bytes())
-        assert b.contains_hashed(_h([1, 2])).all()
+        # Each probed position reads back as a set bit of the packed bytes,
+        # bit ``pos & 7`` of byte ``pos >> 3`` (little-endian words).
+        f = BloomFilter(512, 3)
+        hashed = _h(range(50))
+        f.add_hashed(hashed)
+        bits = np.unpackbits(np.frombuffer(f.to_bytes(), dtype=np.uint8), bitorder="little")
+        for i in range(f.n_hashes):
+            assert bits[f._positions(hashed, i)].all()
 
     def test_empty_probe_array(self):
-        f = BloomFilter.for_capacity(10)
+        f = BloomFilter(*optimal_params(10))
         assert f.contains_hashed(np.array([], dtype=np.uint64)).shape == (0,)
 
     def test_non_multiple_of_64_bits(self):
@@ -128,7 +105,7 @@ class TestBloomFilter:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(min_value=-(2**62), max_value=2**62), max_size=300))
     def test_no_false_negatives_hypothesis(self, keys):
-        f = BloomFilter.for_capacity(max(1, len(keys)))
+        f = BloomFilter(*optimal_params(len(keys)))
         if keys:
             f.add_hashed(_h(keys))
             assert f.contains_hashed(_h(keys)).all()

@@ -61,3 +61,19 @@ def test_transfer_calls_bloom_functions_through_its_globals(toy, monkeypatch):
     assert len(filters) == stats.n_filters_built
     for f in filters:
         assert isinstance(f.n_bits, int) and 0 <= f.bit_count <= f.n_bits
+
+
+def test_yannakakis_tree_has_a_parent_per_table(toy, monkeypatch):
+    """``spans._record`` reads a parent for every table after the root,
+    also for a table whose only link is a 'none' edge."""
+    spans = _load("spans", monkeypatch)
+    edges = [
+        Edge("R", ("r_a",), "S", ("s_a",), transfer="none"),
+        Edge("S", ("s_b",), "T", ("t_b",)),
+    ]
+    result = transfer.yannakakis_reduce(toy, edges, "R")
+    tree = result[1]
+    assert set(tree.parent) == set(tree.bfs_order[1:]) == {"S", "T"}
+    span = spans.Span(0, "semijoin.yannakakis_reduce", None, 0, "", 0.0)
+    spans._record(span, (), {}, result)
+    assert span.info["semi_joins"] == 2  # S and T reduce each other

@@ -6,11 +6,19 @@ import pytest
 from repro import queries
 from repro.core import transfer
 from repro.core.graph import bfs_join_tree, tree_steps
-from repro.core.spec import Edge
+from repro.core.spec import Edge, QuerySpec, TableRef
+from repro.core.strategies import STRATEGIES, run_query
 from repro.core.transfer import yannakakis_reduce
+from repro.oracle import assert_equivalent
 
 CHAIN = lambda: [
     Edge("R", ("r_a",), "S", ("s_a",)),
+    Edge("S", ("s_b",), "T", ("t_b",)),
+]
+
+#: The chain with a 'none' edge as the only link between R and S.
+NONE_CHAIN = lambda: [
+    Edge("R", ("r_a",), "S", ("s_a",), transfer="none"),
     Edge("S", ("s_b",), "T", ("t_b",)),
 ]
 
@@ -82,13 +90,13 @@ class TestCyclicAndRestricted:
         assert (4,) not in _rows(reduced["S"], "s_a")
 
     def test_none_edge_transfers_nothing(self, toy):
-        edges = [
-            Edge("R", ("r_a",), "S", ("s_a",), transfer="none"),
-            Edge("S", ("s_b",), "T", ("t_b",)),
-        ]
-        with pytest.raises(ValueError):
-            # 'none' edges don't even connect the BFS tree: graph splits.
-            yannakakis_reduce(toy, edges, "R")
+        # The 'none' edge joins S to the tree but carries no semi-join:
+        # R keeps its dangling a=3 row, while S and T reduce each other.
+        reduced, tree = yannakakis_reduce(toy, NONE_CHAIN(), "R")
+        assert tree.parent["S"][0] == "R"
+        assert _rows(reduced["R"], "r_a") == {(1,), (2,), (3,)}
+        assert _rows(reduced["S"], "s_a", "s_b") == {(1, 10), (1, 11), (4, 10)}
+        assert _rows(reduced["T"], "t_b") == {(10,), (11,)}
 
     def test_tree_root_is_requested(self, toy):
         _, tree = yannakakis_reduce(toy, CHAIN(), "T")
@@ -120,3 +128,23 @@ class TestEachTransferOnce:
         spec = queries.build("q04", tpch_small.spark)
         tables = {t: ref.df.filter(ref.predicate) for t, ref in spec.tables.items()}
         assert self._count_semi_joins(monkeypatch, tables, spec.edges, "orders") == 2
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_none_edge_chain_matches_oracle(spark, toy, strategy):
+    """A spec whose only link to R is a 'none' edge runs under every
+    strategy, Yannakakis included."""
+    spec = QuerySpec(
+        name="none_chain",
+        tables={t: TableRef(df=df) for t, df in toy.items()},
+        edges=NONE_CHAIN(),
+        join_order=["R", "S", "T"],
+        finalize=lambda df, s: df.select("r_a", "t_z"),
+    )
+    rr = run_query(spark, spec, strategy)
+    try:
+        assert sorted(tuple(r) for r in rr.rows) == [(1, 7), (1, 8)]
+        sql = "SELECT r_a, t_z FROM R JOIN S ON r_a = s_a JOIN T ON s_b = t_b"
+        assert_equivalent(rr.df, sql, **toy)
+    finally:
+        rr.cleanup()

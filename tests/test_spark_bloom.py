@@ -174,6 +174,15 @@ class TestSparkInternals:
             assert "on k:" in msg and f"{requested} bits requested" in msg
             assert "4096 granted" in msg and f"{fpp:.3g}" in msg
 
+    def test_default_cap_warns(self, spark):
+        """At default settings Spark's ``maxNumBits`` is the only cap, so
+        a filter sized past it is reported."""
+        cap = int(spark.conf.get("spark.sql.optimizer.runtime.bloomFilter.maxNumBits"))
+        assert optimal_params(10**7, spark_bloom.FPP)[0] > cap
+        with pytest.warns(RuntimeWarning, match=f"{cap} granted"):
+            (bloom,) = build_blooms(spark.range(100).withColumnRenamed("id", "k"), [("k",)], 10**7)
+        assert bloom.n_bits == cap
+
     def test_unclamped_build_does_not_warn(self, spark, recwarn):
         build_blooms(spark.range(100).withColumnRenamed("id", "k"), [("k",)], 100)
         assert not [w for w in recwarn if w.category is RuntimeWarning]

@@ -1,10 +1,12 @@
 """Tests for the QuerySpec layer: alias renaming, validation and the
 schema check."""
+from dataclasses import replace
+
 import pandas as pd
 import pytest
 
 from repro.core.spec import Edge, QuerySpec, SubQuery, TableRef, rename_prefix, schema_problems
-from repro.core.spec import validate
+from repro.core.spec import left_deep, validate
 
 
 @pytest.fixture(scope="module")
@@ -142,11 +144,41 @@ class TestValidate:
         outer = _spec(*dfs, subqueries=[SubQuery(name="x", spec=inner)])
         assert any(p.startswith("[x]") for p in validate(outer))
 
-    def test_connecting_edges(self, dfs):
+    def test_left_deep(self, dfs):
         spec = _spec(*dfs)
-        assert len(spec.connecting_edges("S", {"R"})) == 1
-        assert len(spec.connecting_edges("S", {"R", "T"})) == 2
-        assert spec.connecting_edges("T", {"R"}) == []
+        r_s, s_t = spec.edges
+        assert left_deep(spec.edges, ["R", "S", "T"]) == [("S", [r_s]), ("T", [s_t])]
+        assert left_deep(spec.edges, ["R", "T", "S"]) == [("T", []), ("S", [r_s, s_t])]
+        assert left_deep(spec.edges, ["T"]) == []
+
+    def test_each_problem_reported_once(self, dfs):
+        # U is a semi table with a second edge, folded in last over both.
+        # ``validate`` reads no DataFrame, so U reuses T's.
+        R, S, T = dfs
+        bad = _spec(
+            R, S, T,
+            tables={t: TableRef(df=df) for t, df in zip("RSTU", (R, S, T, T))},
+            edges=_spec(*dfs).edges + [
+                Edge("R", ("r_a",), "U", ("u_a",), how="semi"),
+                Edge("T", ("t_b",), "U", ("u_b",)),
+            ],
+            join_order=["R", "S", "T", "U"],
+        )
+        assert validate(bad) == [
+            "U: semi/anti table mixes with other edges (needs exactly one edge)"
+        ]
+        # The right side of two semi edges.
+        r_u, t_u = bad.edges[2:]
+        two_semi = replace(bad, edges=bad.edges[:2] + [r_u, replace(t_u, how="semi")])
+        assert validate(two_semi) == [
+            "U: semi/anti table mixes with other edges (needs exactly one edge)"
+        ]
+        # Placed first, U also disconnects S and joins as R's left side.
+        assert validate(replace(bad, join_order=["U", "S", "R", "T"])) == [
+            "U: semi/anti table mixes with other edges (needs exactly one edge)",
+            "join_order disconnects at S (cross join)",
+            "U: semi/anti table must be joined after R, as the edge's right side",
+        ]
 
     def test_edges_of(self, dfs):
         spec = _spec(*dfs)
