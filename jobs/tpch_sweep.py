@@ -5,24 +5,14 @@ phase breakdown (pre-filter vs join time) for each run.
 Usage: spark-submit jobs/tpch_sweep.py [--sf 0.1] [--queries q03,q05] [--repeat 1]
 """
 import argparse
-
-import numpy as np
-from dataclasses import dataclass
 from typing import Dict, List
 
+import numpy as np
 from pyspark.sql import SparkSession
 
 from repro import queries, tpch
-from repro.core.strategies import STRATEGIES, run_query
+from repro.core.strategies import STRATEGIES, RunResult, run_query
 from repro.session import get_spark
-
-
-@dataclass
-class Cell:
-    total_s: float
-    pre_s: float
-    transfer_s: float
-    join_s: float
 
 
 def run(
@@ -30,27 +20,28 @@ def run(
     sf: float,
     query_names: List[str],
     repeat: int = 1,
-) -> Dict[str, Dict[str, Cell]]:
-    """query → strategy → timings (min over ``repeat`` runs)."""
+) -> Dict[str, Dict[str, RunResult]]:
+    """query → strategy → the fastest of ``repeat`` runs, cleaned up.
+    Raises ``ValueError`` on an unknown query name before generating
+    any data."""
+    if unknown := [q for q in query_names if q not in queries.QUERIES]:
+        raise ValueError(f"unknown queries {unknown}; expected names from {queries.ALL}")
     data = tpch.generate(spark, sf=sf)
-    out: Dict[str, Dict[str, Cell]] = {}
+    out: Dict[str, Dict[str, RunResult]] = {}
     for name in query_names:
         out[name] = {}
         for strategy in STRATEGIES:
-            best = None
+            runs = []
             for _ in range(repeat):
-                spec = queries.build(name, data.spark)
-                rr = run_query(spark, spec, strategy)
-                cell = Cell(rr.total_s, rr.pre_s, rr.transfer_s, rr.join_s)
+                rr = run_query(spark, queries.build(name, data.spark), strategy)
                 rr.cleanup()
-                if best is None or cell.total_s < best.total_s:
-                    best = cell
-            out[name][strategy] = best
+                runs.append(rr)
+            out[name][strategy] = min(runs, key=lambda rr: rr.total_s)
     data.unpersist()
     return out
 
 
-def format_tables(results: Dict[str, Dict[str, Cell]], sf: float) -> str:
+def format_tables(results: Dict[str, Dict[str, RunResult]], sf: float) -> str:
     lines = [
         f"Figure 2 as a table — per-query runtime at SF={sf} (seconds, and ×No-Pred-Trans)",
         f"{'query':6s} " + " | ".join(f"{s:>22s}" for s in STRATEGIES),

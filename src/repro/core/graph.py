@@ -1,9 +1,16 @@
-"""Join-graph algorithms: predicate-transfer-graph orientation, topological
-scheduling, the BFS join tree used by the Yannakakis baseline, the
-transfer schedules of the three pre-filter strategies (``dag_steps``,
-``tree_steps``, and ``order_steps``, read off the left-deep plan of
-``spec.left_deep``), and the pruning of Pred-Trans's schedule to the
-transfers that carry a predicate (``carrying_steps``).
+"""Join-graph algorithms: predicate-transfer-graph orientation,
+topological scheduling, the BFS join tree used by the Yannakakis
+baseline, and the transfer schedules of the three pre-filter strategies.
+
+Every schedule is a list of steps ``(src, [DirectedEdge])`` built by
+one pass primitive, ``dag_steps``, the only place that drops a transfer
+its edge's mode does not allow (``Edge.can_transfer_from``, §3.4).
+``two_pass`` is that pass forward, then over the edges reversed in the
+reverse order: Pred-Trans's schedule over the small→big DAG, and
+Yannakakis's over the join tree's child→parent edges (``tree_steps``).
+Bloom Join's (``order_steps``) is one pass over the left-deep plan of
+``spec.left_deep``. ``carrying_steps`` prunes Pred-Trans's schedule to
+the transfers that carry a predicate.
 
 Orientation implements the paper's §3.2 heuristic verbatim: every
 join-graph edge is kept and pointed from the smaller table to the
@@ -15,7 +22,7 @@ their only legal direction and dropped if that would close a cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from graphlib import TopologicalSorter
+from graphlib import CycleError, TopologicalSorter
 from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 from repro.core.spec import Edge, left_deep
@@ -42,19 +49,6 @@ def _directed(edge: Edge, src: str) -> DirectedEdge:
     return DirectedEdge(src, edge.cols_of(src), dst, edge.cols_of(dst), edge)
 
 
-def _reaches(adj: Mapping[str, List[str]], start: str, goal: str) -> bool:
-    seen, stack = {start}, [start]
-    while stack:
-        u = stack.pop()
-        if u == goal:
-            return True
-        for v in adj.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return False
-
-
 def orient(edges: Sequence[Edge], sizes: Mapping[str, int]) -> List[DirectedEdge]:
     """Build the predicate transfer graph (a DAG): free edges point
     small→big; forced edges keep their declared direction unless that
@@ -64,24 +58,19 @@ def orient(edges: Sequence[Edge], sizes: Mapping[str, int]) -> List[DirectedEdge
     def rank(t: str) -> Tuple[int, str]:
         return (sizes.get(t, 0), t)
 
-    out: List[DirectedEdge] = []
-    forced: List[DirectedEdge] = []
+    out = [
+        _directed(e, e.left if rank(e.left) <= rank(e.right) else e.right)
+        for e in edges
+        if e.transfer == "both"
+    ]
     for e in edges:
-        if e.transfer == "none":
-            continue
-        if e.transfer == "both":
-            src = e.left if rank(e.left) <= rank(e.right) else e.right
-            out.append(_directed(e, src))
-        else:
-            forced.append(_directed(e, e.left if e.transfer == "ltr" else e.right))
-    adj: Dict[str, List[str]] = {}
-    for d in out:
-        adj.setdefault(d.src, []).append(d.dst)
-    for d in forced:
-        if _reaches(adj, d.dst, d.src):
-            continue  # would close a cycle; skip this transfer
-        out.append(d)
-        adj.setdefault(d.src, []).append(d.dst)
+        if e.transfer in ("ltr", "rtl"):
+            dag = out + [_directed(e, e.left if e.transfer == "ltr" else e.right)]
+            try:
+                topological_order({d.dst for d in dag}, dag)
+            except CycleError:
+                continue  # would close a cycle; skip this transfer
+            out = dag
     return out
 
 
@@ -99,17 +88,6 @@ def topological_order(nodes: Sequence[str], dag: Sequence[DirectedEdge]) -> List
     return list(ts.static_order())
 
 
-def reverse_dag(dag: Sequence[DirectedEdge]) -> List[DirectedEdge]:
-    """Edges for the backward pass: every DAG edge reversed, keeping only
-    reversals the edge's transfer mode allows (§3.4 one-way edges take
-    part in a single pass)."""
-    rev = []
-    for d in dag:
-        if d.edge.can_transfer_from(d.dst):
-            rev.append(DirectedEdge(d.dst, d.dst_cols, d.src, d.src_cols, d.edge))
-    return rev
-
-
 @dataclass
 class JoinTree:
     """Rooted spanning tree for the Yannakakis baseline."""
@@ -117,7 +95,6 @@ class JoinTree:
     root: str
     parent: Dict[str, Tuple[str, Edge]]  # child -> (parent, connecting edge)
     bfs_order: List[str]  # root first
-    dropped_edges: List[Edge]  # cycle edges not in the tree
 
 
 def bfs_join_tree(nodes: Sequence[str], edges: Sequence[Edge], root: str) -> JoinTree:
@@ -147,18 +124,26 @@ def bfs_join_tree(nodes: Sequence[str], edges: Sequence[Edge], root: str) -> Joi
         order.append(v)
     if seen != set(nodes):
         raise ValueError(f"join graph disconnected from root {root}: missing {set(nodes)-seen}")
-    used = {id(e) for _, e in parent.values()}
-    dropped = [e for e in edges if e.transfer != "none" and id(e) not in used]
-    return JoinTree(root=root, parent=parent, bfs_order=order, dropped_edges=dropped)
+    return JoinTree(root=root, parent=parent, bfs_order=order)
 
 
 def dag_steps(dag: Sequence[DirectedEdge], node_order: Sequence[str]) -> List[Step]:
-    """One pass over a transfer DAG: a step per node of ``node_order``
-    that has out-edges, carrying them in ``dag`` order."""
+    """One pass over ``dag``: a step per node of ``node_order`` that has
+    out-edges, carrying them in ``dag`` order. An edge is kept only where
+    its transfer mode allows sending from its source
+    (``Edge.can_transfer_from``); no other schedule function checks."""
     outs: Dict[str, List[DirectedEdge]] = {}
     for d in dag:
-        outs.setdefault(d.src, []).append(d)
+        if d.edge.can_transfer_from(d.src):
+            outs.setdefault(d.src, []).append(d)
     return [(t, outs[t]) for t in node_order if t in outs]
+
+
+def two_pass(dag: Sequence[DirectedEdge], node_order: Sequence[str]) -> List[Step]:
+    """A forward pass over ``dag`` in ``node_order``, then a backward
+    pass over every edge reversed in the reverse order."""
+    back = [_directed(d.edge, d.dst) for d in dag]
+    return dag_steps(dag, node_order) + dag_steps(back, node_order[::-1])
 
 
 def carrying_steps(steps: Sequence[Step], filtered: Set[str]) -> List[Step]:
@@ -186,25 +171,15 @@ def carrying_steps(steps: Sequence[Step], filtered: Set[str]) -> List[Step]:
 
 
 def tree_steps(tree: JoinTree) -> List[Step]:
-    """Yannakakis's passes over a join tree: child→parent in reverse BFS
-    order (each child already reduced by its children), then parent→
-    children in BFS order; each only where ``can_transfer_from`` allows."""
-    up, down = [], {t: [] for t in tree.bfs_order}
-    for child in tree.bfs_order[1:]:
-        parent, e = tree.parent[child]
-        if e.can_transfer_from(child):
-            up.append((child, [_directed(e, child)]))
-        if e.can_transfer_from(parent):
-            down[parent].append(_directed(e, parent))
-    return up[::-1] + [(t, down[t]) for t in tree.bfs_order if down[t]]
+    """Yannakakis's passes over a join tree (``two_pass``): child→parent
+    in reverse BFS order (each child already reduced by its children),
+    then parent→children in BFS order."""
+    up = [_directed(tree.parent[child][1], child) for child in tree.bfs_order[1:]]
+    return two_pass(up, tree.bfs_order[::-1])
 
 
 def order_steps(edges: Sequence[Edge], order: Sequence[str]) -> List[Step]:
-    """Bloom Join's schedule, the left-deep plan of ``order``
-    (``spec.left_deep``): as each table joins, it sends over its edges to
-    the tables placed before it, where ``can_transfer_from`` allows."""
-    steps = [
-        (t, [_directed(e, t) for e in conn if e.can_transfer_from(t)])
-        for t, conn in left_deep(edges, order)
-    ]
-    return [(t, outs) for t, outs in steps if outs]
+    """Bloom Join's schedule, one pass over the left-deep plan of
+    ``order`` (``spec.left_deep``): as each table joins, it sends over its
+    edges to the tables placed before it."""
+    return dag_steps([_directed(e, t) for t, conn in left_deep(edges, order) for e in conn], order)

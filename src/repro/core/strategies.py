@@ -27,6 +27,7 @@ from functools import reduce as _reduce
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from py4j.protocol import Py4JError
+from pyspark import StorageLevel
 from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
@@ -119,9 +120,10 @@ def _resolve_tables(
 
 def _count_all(tables: Dict[str, DataFrame]) -> Dict[str, int]:
     """Exact cardinality of every table in a *single* Spark action (a
-    union of per-table count aggregates). One job instead of N: at small
-    scale factors per-job scheduling overhead, not data volume, is the
-    dominant cost of the pre-filter phase."""
+    union of per-table count aggregates). One action instead of N: at
+    small scale factors per-job scheduling overhead, not data volume, is
+    the dominant cost of the pre-filter phase. Under AQE the action still
+    runs more than one job (a shuffle stage, then the final aggregate)."""
     branches = [
         df.agg(F.count(F.lit(1)).alias("n")).select(F.lit(t).alias("t"), "n")
         for t, df in tables.items()
@@ -286,10 +288,14 @@ def run_query(
             # Materialize the exact semi-join reductions, so the
             # pre-filter phase carries their cost (as the paper charges
             # it) and the join phase starts from them. One counting
-            # action materializes every persisted table.
+            # action materializes every persisted table. A table that
+            # received nothing is the caller's own DataFrame: one already
+            # cached (a base table, a sub-query output) is not the run's
+            # to persist or release.
             for df in reduced.values():
-                df.persist()
-                res._persisted.append(df)
+                if df.storageLevel == StorageLevel.NONE:
+                    df.persist()
+                    res._persisted.append(df)
             res.reduced_sizes = _count_all(reduced)
         res.transfer_s = time.perf_counter() - t0
 

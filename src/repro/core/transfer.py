@@ -1,34 +1,37 @@
 """The pre-filter phase: one walker over a schedule of directed
 transfers, with a Bloom and an exact reduction.
 
-A schedule (``graph.dag_steps``, ``graph.tree_steps``,
-``graph.order_steps``) lists steps ``(src, [DirectedEdge])``. At each
-step ``send`` turns ``src``, reduced by all it has received so far, into
-one message per out-edge. ``run_steps`` queues each message for the
-edge's destination and applies a table's queued messages once
-(``apply``): when the table next sends, or at the end.
+A schedule lists steps ``(src, [DirectedEdge])``; every one is built
+from ``graph.dag_steps`` passes, which keep only the transfers each
+edge's mode allows (``graph.two_pass``, ``graph.tree_steps``,
+``graph.order_steps``). At each step ``send`` turns ``src``, reduced by
+all it has received so far, into one message per out-edge.
+``run_steps`` queues each message for the edge's destination and
+applies a table's queued messages once (``apply``): when the table
+next sends, or at the end.
 
-- **Pred-Trans** (the paper's contribution, §3.2): a forward pass over
-  the small→big DAG in topological order, then a backward pass over the
-  reversed DAG (minus §3.4 one-way edges), less every transfer that
-  carries no predicate (``graph.carrying_steps``): one from a table with
-  no predicate of its own that has heard nothing, or only its
-  destination over the same keys. A step builds one Bloom filter per
-  distinct key set of its out-edges in a single scan (``bloom_sender``);
-  ``apply_blooms`` probes them. The reduced tables stay lazy for the
-  join phase's scans to probe. Sound by construction: a Bloom filter has
-  no false negatives, so only rows whose join key is absent from the
-  (already reduced) neighbour are dropped, and a transfer left out only
-  keeps more rows.
+- **Pred-Trans** (the paper's contribution, §3.2): ``graph.two_pass``
+  over the small→big DAG, a forward pass in topological order, then a
+  backward pass over the reversed DAG (minus §3.4 one-way edges), less
+  every transfer that carries no predicate (``graph.carrying_steps``):
+  one from a table with no predicate of its own that has heard nothing,
+  or only its destination over the same keys. A step builds one Bloom
+  filter per distinct key set of its out-edges in a single scan
+  (``bloom_sender``); ``apply_blooms`` probes them. The reduced tables
+  stay lazy for the join phase's scans to probe. Sound by construction:
+  a Bloom filter has no false negatives, so only rows whose join key is
+  absent from the (already reduced) neighbour are dropped, and a
+  transfer left out only keeps more rows.
 - **Bloom Join** (§2.1) sends with the same ``bloom_sender`` over
   ``order_steps``, but its filters probe the accumulated join plan
   (``executor.execute_join_phase``), so it does not walk ``run_steps``.
 - **Yannakakis** (§2.2, evaluated in §4): child→parent then
   parent→child over a BFS join tree (cycle edges dropped, the paper's
-  §4.1 extension for cyclic queries). A message is the reduced source
-  table and ``apply_semi_joins`` folds exact ``LEFT SEMI`` joins; with
-  broadcast joins disabled these shuffle both inputs, this substrate's
-  analogue of the paper's "costly hash table probes".
+  §4.1 extension for cyclic queries), ``graph.two_pass`` over the
+  tree's child→parent edges (``graph.tree_steps``). A message is the
+  reduced source table and ``apply_semi_joins`` folds exact ``LEFT SEMI``
+  joins; with broadcast joins disabled these shuffle both inputs, this
+  substrate's analogue of the paper's "costly hash table probes".
 """
 from __future__ import annotations
 
@@ -41,7 +44,7 @@ from pyspark.sql import DataFrame
 
 from repro.bloom.spark_bloom import apply_blooms, build_blooms
 from repro.core.graph import DirectedEdge, JoinTree, Step, bfs_join_tree, carrying_steps
-from repro.core.graph import dag_steps, orient, reverse_dag, topological_order, tree_steps
+from repro.core.graph import orient, topological_order, tree_steps, two_pass
 from repro.core.spec import Edge
 
 
@@ -119,8 +122,7 @@ def predicate_transfer(
     phase's scans apply (nothing is materialized here)."""
     dag = orient(edges, sizes)
     topo = topological_order(list(tables), dag)
-    both = dag_steps(dag, topo) + dag_steps(reverse_dag(dag), topo[::-1])
-    steps = carrying_steps(both, filtered)
+    steps = carrying_steps(two_pass(dag, topo), filtered)
     reduced = run_steps(tables, steps, bloom_sender(sizes), apply_blooms)
     return reduced, TransferStats(dag, topo, steps)
 

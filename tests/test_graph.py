@@ -2,14 +2,15 @@
 import pytest
 
 from repro.core.graph import (
+    DirectedEdge,
     bfs_join_tree,
     carrying_steps,
     dag_steps,
     order_steps,
     orient,
-    reverse_dag,
     topological_order,
     tree_steps,
+    two_pass,
 )
 from repro.core.spec import Edge
 
@@ -153,8 +154,6 @@ class TestTopologicalOrder:
         assert topological_order(nodes, dag) == topological_order(nodes, dag)
 
     def test_cycle_detected(self):
-        from repro.core.graph import DirectedEdge
-
         e = Edge("A", ("x",), "B", ("y",))
         cyc = [
             DirectedEdge("A", ("x",), "B", ("y",), e),
@@ -165,17 +164,20 @@ class TestTopologicalOrder:
 
 
 class TestReverseDag:
+    """``two_pass``'s backward pass: the forward edges reversed."""
+
     def test_reverses_free_edges(self):
         dag = orient(_chain_edges(), {"R": 1, "S": 2, "T": 3})
-        rev = reverse_dag(dag)
+        topo = topological_order(["R", "S", "T"], dag)
+        rev = [d for _, outs in two_pass(dag, topo)[len(dag_steps(dag, topo)) :] for d in outs]
         assert {(d.src, d.dst) for d in rev} == {("S", "R"), ("T", "S")}
         d = next(x for x in rev if x.src == "S" and x.dst == "R")
         assert d.src_cols == ("s_a",) and d.dst_cols == ("r_a",)
 
     def test_one_way_edges_not_reversed(self):
         e = Edge("A", ("x",), "B", ("y",), transfer="ltr")
-        rev = reverse_dag(orient([e], {"A": 1, "B": 2}))
-        assert rev == []
+        dag = orient([e], {"A": 1, "B": 2})
+        assert two_pass(dag, ["A", "B"]) == [("A", dag)]
 
 
 class TestBfsJoinTree:
@@ -188,11 +190,12 @@ class TestBfsJoinTree:
     def test_cyclic_graph_drops_edges(self):
         # Q5's graph has 7 edges, 6 nodes -> spanning tree keeps 5.
         tree = bfs_join_tree(list(_Q5_SIZES), _q5ish_edges(), "lineitem")
-        assert len(tree.dropped_edges) == 2
+        assert len({id(e) for _, e in tree.parent.values()}) == len(_Q5_SIZES) - 1
 
     def test_acyclic_graph_drops_nothing(self):
-        tree = bfs_join_tree(["R", "S", "T"], _chain_edges(), "S")
-        assert tree.dropped_edges == []
+        edges = _chain_edges()
+        tree = bfs_join_tree(["R", "S", "T"], edges, "S")
+        assert {id(e) for _, e in tree.parent.values()} == {id(e) for e in edges}
 
     def test_parent_edges_connect(self):
         tree = bfs_join_tree(list(_Q5_SIZES), _q5ish_edges(), "region")
@@ -213,7 +216,7 @@ def _both_passes(edges, sizes):
     """Pred-Trans's forward and backward passes, before pruning."""
     dag = orient(edges, sizes)
     topo = topological_order(list(sizes), dag)
-    return dag_steps(dag, topo) + dag_steps(reverse_dag(dag), topo[::-1])
+    return two_pass(dag, topo)
 
 
 def _moves(steps):
@@ -227,12 +230,24 @@ class TestSchedules:
         dag = orient(_chain_edges(), sizes)
         topo = topological_order(list(sizes), dag)
         assert _moves(dag_steps(dag, topo)) == [("R", "S"), ("T", "S")]
-        back = dag_steps(reverse_dag(dag), topo[::-1])
-        assert _moves(back) == [("S", "R", "T")]
-        assert [(d.src_cols, d.dst_cols) for d in back[0][1]] == [
+        both = two_pass(dag, topo)
+        assert _moves(both) == [("R", "S"), ("T", "S"), ("S", "R", "T")]
+        assert [(d.src_cols, d.dst_cols) for d in both[2][1]] == [
             (("s_a",), ("r_a",)),
             (("s_b",), ("t_b",)),
         ]
+
+    def test_dag_steps_drops_transfers_the_edge_does_not_allow(self):
+        ltr = Edge("A", ("x",), "B", ("y",), transfer="ltr")
+        none = Edge("B", ("y",), "C", ("z",), transfer="none")
+        legal = DirectedEdge("A", ("x",), "B", ("y",), ltr)
+        sends = [
+            DirectedEdge("B", ("y",), "A", ("x",), ltr),
+            legal,
+            DirectedEdge("B", ("y",), "C", ("z",), none),
+            DirectedEdge("C", ("z",), "B", ("y",), none),
+        ]
+        assert dag_steps(sends, ["A", "B", "C"]) == [("A", [legal])]
 
     @pytest.mark.parametrize(
         "root,expected",

@@ -2,6 +2,8 @@
 SF; the CLI wrappers only add argparse + a session)."""
 import re
 
+import pytest
+
 import jobs.robustness_q5 as robustness_q5
 import jobs.run_query as run_query_job
 import jobs.table1_q5 as table1_q5
@@ -34,6 +36,15 @@ def test_sweep_job(spark):
         assert all(c.total_s > 0 for c in row.values())
     text = tpch_sweep.format_tables(results, SF)
     assert "avg speedup" in text and "phase breakdown" in text
+
+
+def test_sweep_rejects_unknown_query_before_generating(monkeypatch):
+    def generate(*args, **kwargs):
+        raise AssertionError("data generated")
+
+    monkeypatch.setattr(tpch_sweep.tpch, "generate", generate)
+    with pytest.raises(ValueError, match=r"unknown queries \['q99'\]"):
+        tpch_sweep.run(None, SF, ["q12", "q99"])
 
 
 def test_robustness_job(spark):

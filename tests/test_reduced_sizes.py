@@ -162,6 +162,17 @@ def test_q12_counts_only_the_filtered_table(spark, tpch_small, monkeypatch):
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("name", ["q17", "q18"])
+def test_cleanup_keeps_base_tables_cached(spark, tpch_small, name, strategy):
+    """A run releases only what it persisted itself. q17's and q18's
+    sub-queries read ``lineitem`` unfiltered, and a table that receives
+    no transfer is the caller's own DataFrame."""
+    run_query(spark, queries.build(name, tpch_small.spark), strategy).cleanup()
+    for t, df in tpch_small.spark.items():
+        assert strategies._cached_rows(df) == len(tpch_small.pandas[t]), t
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_failed_run_releases_what_it_persisted(spark, strategy):
     """The group-by sub-query's output (and, under Yannakakis, every
     reduced table) is persisted before the main block's ``finalize``
