@@ -20,15 +20,15 @@ plan, timing the pre-filter phase and the join phase separately
 """
 from __future__ import annotations
 
-import re
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from functools import reduce as _reduce
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from py4j.protocol import Py4JError
 from pyspark import StorageLevel
-from pyspark.sql import DataFrame, Observation, SparkSession
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 # Unused here; perfbench's tracer (spans.WRAPS) still wraps this name.
@@ -70,12 +70,20 @@ class RunResult:
     #: table that is a persisted, fully cached DataFrame (a base table, a
     #: sub-query output) takes its count from Spark's cache (``_sizes``).
     sizes: Dict[str, int] = field(default_factory=dict)
-    #: Rows left after the pre-filter phase (Yannakakis and Pred-Trans).
-    #: Pred-Trans reads them from observations on the join phase's own
-    #: action, so a run with ``collect=False`` (a sub-query) leaves this empty.
-    reduced_sizes: Dict[str, int] = field(default_factory=dict)
     transfer_stats: Optional[TransferStats] = None
     _persisted: List[DataFrame] = field(default_factory=list)
+    #: Pred-Trans's lazy reduced tables, counted when ``reduced_sizes`` is read.
+    _reduced: Dict[str, DataFrame] = field(default_factory=dict)
+
+    @cached_property
+    def reduced_sizes(self) -> Dict[str, int]:
+        """Rows left after the pre-filter phase (Yannakakis and Pred-Trans;
+        empty for the others). Yannakakis's come from the count that
+        materializes its semi-joins. Pred-Trans's reduced tables are
+        counted on the first read (``_sizes``: one action), not during
+        the run; a read after ``cleanup()`` recomputes the sub-query
+        outputs it released."""
+        return _sizes(self._reduced)
 
     @property
     def total_s(self) -> float:
@@ -167,73 +175,6 @@ def _sizes(tables: Dict[str, DataFrame]) -> Dict[str, int]:
     return {**sizes, **(_count_all(missed) if missed else {})}
 
 
-def _observe_counts(
-    tables: Dict[str, DataFrame],
-) -> Tuple[Dict[str, DataFrame], Dict[str, Observation]]:
-    """Each table with an ``Observation`` of its row count attached; the
-    first action that runs a table's plan records its count."""
-    observed, observations = {}, {}
-    for t, df in tables.items():
-        observations[t] = Observation()
-        observed[t] = df.observe(observations[t], F.count(F.lit(1)).alias("n"))
-    return observed, observations
-
-
-#: Plan nodes that read all of their input: a stage's shuffle or broadcast write.
-_STAGE_ENDS = {"Exchange", "BroadcastExchange"}
-
-
-def _partly_read_observations(df: DataFrame) -> Set[str]:
-    """Names of the ``CollectMetrics`` nodes in ``df``'s executed plan
-    whose input may not all have been read: a join or a limit sits above
-    them in the same stage. A sort-merge join, for one, never reads a
-    partition of one input when that partition of the other is empty;
-    an input reaches a join without a shuffle when it is already
-    partitioned on the join keys (a persisted group-by, say)."""
-    jvm = df.sparkSession._jvm
-    plan = jvm.java.lang.StringBuilder().append(df._jdf.queryExecution().executedPlan())
-    # Bloom filter literals make the plan text megabytes long at larger
-    # scale factors; drop them before the text leaves the JVM.
-    text = jvm.java.util.regex.Pattern.compile("0x[0-9A-F]+").matcher(plan).replaceAll("0x")
-    partly: Set[str] = set()
-    ancestors: List[Tuple[int, str]] = []  # (indent, node name) of the lines above
-    for line in text.splitlines():
-        body = line.lstrip(" :+-")
-        indent = len(line) - len(body)
-        fields = re.sub(r"^\*\(\d+\) ", "", body).split(" ", 2)
-        while ancestors and ancestors[-1][0] >= indent:
-            ancestors.pop()
-        if fields[0] == "CollectMetrics":
-            for _, node in reversed(ancestors):
-                if node in _STAGE_ENDS:
-                    break
-                if node.endswith(("Join", "Limit")) or node == "CartesianProduct":
-                    partly.add(fields[1].rstrip(","))
-                    break
-        ancestors.append((indent, fields[0]))
-    return partly
-
-
-def _observed_counts(
-    tables: Dict[str, DataFrame], observations: Dict[str, Observation], action: DataFrame
-) -> Dict[str, int]:
-    """Exact row counts of ``tables``, once ``action`` (whose plan holds
-    every observed table) has run. An observation is used when it saw
-    all of its table: AQE drops an observed branch whenever a join input
-    is empty at run time, leaving a zero-length row, and a branch that
-    may have been read in part (``_partly_read_observations``) is
-    skipped. Those tables alone are counted, in one action."""
-    rows = {t: o._jo.getRow() for t, o in observations.items()}
-    partly = _partly_read_observations(action)
-    missed = {
-        t: tables[t]
-        for t, row in rows.items()
-        if row.length() == 0 or observations[t]._jo.name() in partly
-    }
-    counted = _count_all(missed) if missed else {}
-    return {t: counted[t] if t in missed else row.getLong(0) for t, row in rows.items()}
-
-
 def _bloom_join_step_blooms(steps, tables, sizes):
     """One-hop blooms: each incoming table's filters for the tables
     already placed (``graph.order_steps``), built from its
@@ -257,7 +198,9 @@ def run_query(
     releases what it persisted. Raises ``ValueError`` if the spec, with
     ``join_order`` in place of its own, is invalid: ``validate`` before
     any Spark job, ``schema_problems`` once the sub-queries (if any) have
-    run, so that it sees their outputs' schemas."""
+    run, so that it sees their outputs' schemas. The run counts nothing
+    for ``reduced_sizes`` beyond Yannakakis's materializing count:
+    Pred-Trans's are counted when first read, ``collect=False`` or not."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     order = list(join_order or spec.join_order)
@@ -279,6 +222,7 @@ def run_query(
             reduced, res.transfer_stats = predicate_transfer(
                 tables, spec.edges, res.sizes, spec.filtered
             )
+            res._reduced = reduced
         elif strategy == "bloom_join":
             steps = order_steps(spec.edges, order)
             res.sizes = _sizes({t: tables[t] for t, _ in steps})
@@ -291,30 +235,25 @@ def run_query(
             # action materializes every persisted table. A table that
             # received nothing is the caller's own DataFrame: one already
             # cached (a base table, a sub-query output) is not the run's
-            # to persist or release.
+            # to persist or release, and its size comes from the cache.
             for df in reduced.values():
                 if df.storageLevel == StorageLevel.NONE:
                     df.persist()
                     res._persisted.append(df)
-            res.reduced_sizes = _count_all(reduced)
+            res.reduced_sizes = _sizes(reduced)
         res.transfer_s = time.perf_counter() - t0
 
         # Pred-Trans hands its lazy reduced tables (base ∧ local predicate
         # ∧ received filters) to the join phase, whose scans then apply
-        # the filters; their sizes are observed on the join phase's action.
-        join_inputs, observations = reduced, {}
-        if strategy == "pred_trans" and collect:
-            join_inputs, observations = _observe_counts(reduced)
+        # the filters.
         t1 = time.perf_counter()
         joined, res.measures = execute_join_phase(
-            spec, join_inputs, join_order=order, step_blooms=step_blooms, measure=measure
+            spec, reduced, join_order=order, step_blooms=step_blooms, measure=measure
         )
         res.df = spec.finalize(joined, res.scalars)
         if collect:
             res.rows = res.df.collect()
         res.join_s = time.perf_counter() - t1
-        if observations:
-            res.reduced_sizes = _observed_counts(reduced, observations, res.df)
     except BaseException:
         res.cleanup()  # the caller gets no result to clean up
         raise

@@ -22,8 +22,7 @@ def configure_session(spark: SparkSession) -> None:
 
     Also name generated classes without their whole-stage-codegen stage
     id, so equal code at another stage id (a plan with one more stage
-    below it, such as Pred-Trans's observed join inputs) reuses the
-    compiled class: Spark keeps 100 compiled classes, and the four
+    below it) reuses the compiled class: Spark keeps 100 compiled classes, and the four
     strategies sharing a session otherwise evicted each other's, each
     round of q04 runs (SF 0.004, local[2]) recompiling about 20."""
     spark.conf.set("spark.sql.optimizer.runtime.bloomFilter.enabled", "false")

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pandas as pd
 
-from repro.core import transfer
+from repro import queries
+from repro.core import strategies, transfer
 from repro.core.spec import Edge
+from tests.test_reduced_sizes import _recording
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -77,3 +79,33 @@ def test_yannakakis_tree_has_a_parent_per_table(toy, monkeypatch):
     span = spans.Span(0, "semijoin.yannakakis_reduce", None, 0, "", 0.0)
     spans._record(span, (), {}, result)
     assert span.info["semi_joins"] == 2  # S and T reduce each other
+
+
+def test_reduced_sizes_read_after_the_traced_run(spark, tpch_small, monkeypatch):
+    """perfbench's ``after`` charges the run's jobs to its spans, then
+    ``layers.run_metrics`` reads ``reduced_sizes``, whose first read
+    counts the reduced tables: that count is exact, and it is none of
+    the run's spans."""
+    spans = _load("spans", monkeypatch)
+    layers = _load("layers", monkeypatch)
+    last = _recording(monkeypatch, "predicate_transfer")
+    tracer = spans.Tracer(spark.sparkContext)
+    with tracer:
+        first = len(tracer.spans)
+        rr = strategies.run_query(spark, queries.build("q04", tpch_small.spark), "pred_trans")
+        try:
+            # perfbench/run.py ``per_layer``'s ``after``, in its order.
+            tracer.count_jobs(first)
+            run_spans = tracer.spans[first:]
+            metrics = layers.run_metrics(run_spans, tracer.self_times(), rr, 0.0)
+        finally:
+            rr.cleanup()
+    expected = {t: df.count() for t, df in last["reduced"].items()}
+    assert metrics["pred_trans.strategies.reduced_rows"] == sum(expected.values())
+    assert 0 < metrics["pred_trans.transfer.rows_kept"] <= 1
+    root = run_spans[0]
+    assert root.name == "strategies.run_query"
+    assert [sp.name for sp in run_spans].count("strategies.count_all") == 1, "the size count"
+    (read,) = tracer.spans[first + len(run_spans):]
+    assert read.name == "strategies.count_all"
+    assert read.parent is None and read.run == read.id != root.id

@@ -1,6 +1,7 @@
 """Plan-shape checks over every query a strategy runs: the baselines
-carry no Bloom expression (Spark's own runtime filter stays off), and
-the Bloom strategies build and probe in the JVM without a Python worker."""
+carry no Bloom expression (Spark's own runtime filter stays off), the
+Bloom strategies build and probe in the JVM without a Python worker,
+and no strategy collects metrics (``Observation``) on its plans."""
 import pytest
 
 from repro import queries
@@ -8,6 +9,7 @@ from repro.core.strategies import run_query
 
 BLOOM_NODES = ("might_contain", "bloom_filter_agg")
 PYTHON_NODES = ("MapInPandas", "ArrowEvalPython", "BatchEvalPython", "PythonUDF")
+METRICS_NODES = ("CollectMetrics",)
 
 
 def _executed_plans(spark, strategy, spec):
@@ -31,10 +33,10 @@ def _executed_plans(spark, strategy, spec):
 @pytest.mark.parametrize(
     "strategy, absent",
     [
-        ("no_pred_trans", BLOOM_NODES),
-        ("yannakakis", BLOOM_NODES),
-        ("bloom_join", PYTHON_NODES),
-        ("pred_trans", PYTHON_NODES),
+        ("no_pred_trans", BLOOM_NODES + METRICS_NODES),
+        ("yannakakis", BLOOM_NODES + METRICS_NODES),
+        ("bloom_join", PYTHON_NODES + METRICS_NODES),
+        ("pred_trans", PYTHON_NODES + METRICS_NODES),
     ],
 )
 def test_plan_nodes_absent(spark, tpch_small, strategy, absent):

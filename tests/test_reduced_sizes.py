@@ -1,15 +1,15 @@
-"""Pred-Trans hands its lazy reduced tables to the join phase and reads
-their sizes from ``Observation`` metrics on the join phase's action: the
-sizes must stay exact, and nothing may be persisted or counted for them
-on the way. The sizes after local predicates (``RunResult.sizes``) are
-exact too, read from Spark's cache for a persisted table and counted
-only for the rest. Yannakakis still materializes its exact semi-joins,
-and a run that raises releases whatever it persisted."""
+"""Pred-Trans hands its lazy reduced tables to the join phase and
+persists and counts nothing for them during the run: ``reduced_sizes``
+counts them, exactly, when it is first read (a read after ``cleanup()``
+recomputes the inputs it released). The sizes after local predicates
+(``RunResult.sizes``) are exact too, read from Spark's cache for a
+persisted table and counted only for the rest. Yannakakis still
+materializes its exact semi-joins, and a run that raises releases
+whatever it persisted."""
 import time
 from types import SimpleNamespace
 
 import pytest
-from pyspark.sql import Observation
 from pyspark.sql import functions as F
 
 from repro import queries
@@ -35,9 +35,10 @@ def _recording(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["q04", "q05", "q17", "q18"])
 def test_pred_trans_reduced_sizes_exact(spark, tpch_small, monkeypatch, name):
-    """q17's ``part`` is empty at this scale factor, so AQE drops the
-    observed branches and the sizes come from the fallback count; q18
-    joins its persisted sub-query output without a shuffle."""
+    """q17's ``part`` is empty at this scale factor, so AQE would skip
+    join inputs that the join phase never reads; q18 joins its persisted
+    sub-query output without a shuffle. Neither matters to a count of
+    the reduced tables themselves."""
     last = _recording(monkeypatch, "predicate_transfer")
     rr = run_query(spark, queries.build(name, tpch_small.spark), "pred_trans")
     try:
@@ -83,8 +84,10 @@ def _counted(monkeypatch):
 
 
 def test_pred_trans_persists_nothing_and_counts_once(spark, tpch_small, monkeypatch):
-    """The one count is the size count, of the tables with a local
-    predicate: the others are persisted base tables, read from the cache."""
+    """The run's one count is the size count, of the tables with a local
+    predicate: the others are persisted base tables, read from the cache.
+    The first read of ``reduced_sizes`` counts the reduced tables in one
+    more action; a second read counts nothing."""
     calls = _counted(monkeypatch)
     spec = queries.build("q05", tpch_small.spark)
     before = _storage_bytes(spark)
@@ -94,7 +97,47 @@ def test_pred_trans_persists_nothing_and_counts_once(spark, tpch_small, monkeypa
         with_predicate = sorted(t for t, ref in spec.tables.items() if ref.predicate is not None)
         assert with_predicate == ["orders", "region"]
         assert calls == [with_predicate], "only the size count runs"
-        assert set(rr.sizes) == set(rr.reduced_sizes) == set(spec.tables)
+        first = rr.reduced_sizes
+        assert len(calls) == 2, "the first read counts once"
+        assert rr.reduced_sizes is first and len(calls) == 2, "the second read counts nothing"
+        assert set(rr.sizes) == set(first) == set(spec.tables)
+    finally:
+        rr.cleanup()
+
+
+def test_pred_trans_sub_query_run_reports_reduced_sizes(spark, tpch_small, monkeypatch):
+    """A ``collect=False`` run (how a sub-query block runs) reports exact
+    reduced sizes too."""
+    last = _recording(monkeypatch, "predicate_transfer")
+    spec = queries.build("q05", tpch_small.spark)
+    rr = run_query(spark, spec, "pred_trans", collect=False)
+    try:
+        assert rr.rows is None
+        expected = {t: df.count() for t, df in last["reduced"].items()}
+        assert set(expected) == set(spec.tables)
+        assert rr.reduced_sizes == expected
+    finally:
+        rr.cleanup()
+
+
+@pytest.mark.parametrize("name", ["q17", "q18"])
+def test_yannakakis_counts_only_uncached_tables(spark, tpch_small, monkeypatch, name):
+    """Yannakakis's materializing count skips a table already in Spark's
+    cache: q17's ``avgqty`` and q18's ``bigorders`` sub-queries read the
+    unfiltered, cached ``lineitem``, whose size the cache holds."""
+    counted = []
+    count_all = strategies._count_all
+
+    def counting(tables):
+        counted.extend((t, strategies._cached_rows(df)) for t, df in tables.items())
+        return count_all(tables)
+
+    monkeypatch.setattr(strategies, "_count_all", counting)
+    rr = run_query(spark, queries.build(name, tpch_small.spark), "yannakakis")
+    try:
+        assert counted, "the semi-joins are materialized"
+        assert [t for t, n in counted if n is not None] == []
+        assert rr.reduced_sizes
     finally:
         rr.cleanup()
 
@@ -209,8 +252,9 @@ def test_failed_run_releases_what_it_persisted(spark, strategy):
 def test_prepartitioned_input_counted_exactly(spark):
     """``big`` is already partitioned on the join key, so it reaches the
     sort-merge join without a shuffle, and the join never reads the
-    partitions whose ``small`` side is empty: its observed count would
-    be short. ``transfer="none"`` keeps those rows in the reduced table."""
+    partitions whose ``small`` side is empty: a count taken off the join
+    would be short. ``transfer="none"`` keeps those rows in the reduced
+    table, and ``reduced_sizes`` counts the table itself."""
     n = int(spark.conf.get("spark.sql.shuffle.partitions"))
     big = spark.range(1000).select((F.col("id") % 50).alias("a_k"), F.col("id").alias("a_v"))
     big = big.repartition(n, "a_k").persist()
@@ -273,37 +317,3 @@ class TestSparkInternals:
         wrong = SimpleNamespace(sparkSession=spark, _jdf=spark._jvm.java.lang.Object())
         with pytest.raises(RuntimeError, match="CacheManager.lookupCachedData"):
             strategies._cached_rows(wrong)
-
-    def test_fired_observation_is_one_long(self, spark):
-        obs = Observation()
-        spark.range(100).observe(obs, F.count(F.lit(1)).alias("n")).collect()
-        row = obs._jo.getRow()
-        assert row.length() == 1 and row.getLong(0) == 100
-
-    def test_dropped_observation_is_empty_row(self, spark):
-        """AQE drops the observed branch of a join whose other input is
-        empty at run time; the observation then completes empty."""
-        empty = spark.range(10).filter("id < 0").persist()
-        empty.count()
-        obs = Observation()
-        observed = spark.range(100).observe(obs, F.count(F.lit(1)).alias("n"))
-        try:
-            assert empty.join(observed, "id").collect() == []
-            assert obs._jo.getRow().length() == 0
-        finally:
-            empty.unpersist()
-
-    def test_plan_text_names_partly_read_observation(self, spark):
-        n = int(spark.conf.get("spark.sql.shuffle.partitions"))
-        big = spark.range(100).select(F.col("id").alias("k")).repartition(n, "k").persist()
-        big.count()
-        inner, outer = Observation(), Observation()
-        small = spark.range(5).observe(outer, F.count(F.lit(1)).alias("n"))
-        joined = small.join(big.observe(inner, F.count(F.lit(1)).alias("n")), small.id == big.k)
-        try:
-            assert len(joined.collect()) == 5
-            partly = strategies._partly_read_observations(joined)
-            assert inner._jo.name() in partly, "no shuffle between the join and its input"
-            assert outer._jo.name() not in partly, "a shuffle reads all of its input"
-        finally:
-            big.unpersist()
