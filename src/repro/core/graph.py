@@ -1,6 +1,6 @@
-"""Join-graph algorithms: predicate-transfer-graph orientation,
-topological scheduling, the BFS join tree used by the Yannakakis
-baseline, and the transfer schedules of the three pre-filter strategies.
+"""Join-graph algorithms: the small→big predicate transfer graph, the
+BFS join tree used by the Yannakakis baseline, and the transfer
+schedules of the three pre-filter strategies.
 
 Every schedule is a list of steps ``(src, [DirectedEdge])`` built by
 one pass primitive, ``dag_steps``, the only place that drops a transfer
@@ -12,17 +12,17 @@ Bloom Join's (``order_steps``) is one pass over the left-deep plan of
 ``spec.left_deep``. ``carrying_steps`` prunes Pred-Trans's schedule to
 the transfers that carry a predicate.
 
-Orientation implements the paper's §3.2 heuristic verbatim: every
+``small_to_big`` implements the paper's §3.2 heuristic verbatim: every
 join-graph edge is kept and pointed from the smaller table to the
 bigger table. Because "smaller than" (with a deterministic name tie-
-break) is a total order on tables, the free edges can never form a
-cycle; direction-restricted edges (outer/anti, §3.4) are forced to
-their only legal direction and dropped if that would close a cycle.
+break) is a total order on tables, the edges can never form a cycle,
+and that one ``(size, name)`` order schedules both passes. A
+direction-restricted edge (outer/anti, §3.4) is sent in the pass that
+has its allowed direction, forward or backward, and never skipped.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from graphlib import CycleError, TopologicalSorter
 from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 from repro.core.spec import Edge, left_deep
@@ -49,43 +49,20 @@ def _directed(edge: Edge, src: str) -> DirectedEdge:
     return DirectedEdge(src, edge.cols_of(src), dst, edge.cols_of(dst), edge)
 
 
-def orient(edges: Sequence[Edge], sizes: Mapping[str, int]) -> List[DirectedEdge]:
-    """Build the predicate transfer graph (a DAG): free edges point
-    small→big; forced edges keep their declared direction unless that
-    would create a cycle (then they are skipped — the transfer is
-    simply not performed, which is always sound)."""
+def small_to_big(
+    tables: Sequence[str], edges: Sequence[Edge], sizes: Mapping[str, int]
+) -> Tuple[List[str], List[DirectedEdge]]:
+    """The predicate transfer graph (§3.2): ``tables`` sorted by
+    ``(size, name)``, and every edge pointed from its earlier table. The
+    order is total, so the edges form a DAG and the order is a
+    topological order of it. No edge is dropped here: ``dag_steps`` sends
+    a one-way edge in whichever pass has its allowed direction, and a
+    ``none`` edge in neither."""
 
     def rank(t: str) -> Tuple[int, str]:
         return (sizes.get(t, 0), t)
 
-    out = [
-        _directed(e, e.left if rank(e.left) <= rank(e.right) else e.right)
-        for e in edges
-        if e.transfer == "both"
-    ]
-    for e in edges:
-        if e.transfer in ("ltr", "rtl"):
-            dag = out + [_directed(e, e.left if e.transfer == "ltr" else e.right)]
-            try:
-                topological_order({d.dst for d in dag}, dag)
-            except CycleError:
-                continue  # would close a cycle; skip this transfer
-            out = dag
-    return out
-
-
-def topological_order(nodes: Sequence[str], dag: Sequence[DirectedEdge]) -> List[str]:
-    """Kahn topological order, deterministic: FIFO over sorted seeds and
-    sorted successors. Raises ``graphlib.CycleError`` (a ``ValueError``)
-    on a cycle."""
-    # Every node first, so the seeds come out in sorted order; then each
-    # node's in-edges, so every node's successors are visited sorted.
-    ts = TopologicalSorter()
-    for n in sorted(nodes):
-        ts.add(n)
-    for n in sorted(nodes):
-        ts.add(n, *[d.src for d in dag if d.dst == n])
-    return list(ts.static_order())
+    return sorted(tables, key=rank), [_directed(e, min(e.left, e.right, key=rank)) for e in edges]
 
 
 @dataclass

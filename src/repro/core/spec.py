@@ -51,6 +51,9 @@ class Edge:
     extra: Optional[ExtraCond] = None
 
     def __post_init__(self):
+        if self.left == self.right:
+            # ``left_deep`` never joins it; a transfer would filter the table by itself.
+            raise ValueError(f"edge {self.left}-{self.right}: a self-edge joins a table to itself")
         if len(self.left_cols) != len(self.right_cols) or not self.left_cols:
             raise ValueError(f"edge {self.left}-{self.right}: key arity mismatch")
         if self.how not in ("inner", "semi", "anti"):

@@ -65,7 +65,7 @@ class RunResult:
     measures: List[JoinMeasure] = field(default_factory=list)
     scalars: Dict[str, float] = field(default_factory=dict)  # scalar sub-queries
     #: Rows after local predicates, only where read: every table under
-    #: Pred-Trans (filter sizes and the DAG's orientation; none for a
+    #: Pred-Trans (filter sizes and the small→big order; none for a
     #: block without edges), Bloom Join's senders; empty otherwise. A
     #: table that is a persisted, fully cached DataFrame (a base table, a
     #: sub-query output) takes its count from Spark's cache (``_sizes``).

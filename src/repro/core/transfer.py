@@ -11,9 +11,11 @@ applies a table's queued messages once (``apply``): when the table
 next sends, or at the end.
 
 - **Pred-Trans** (the paper's contribution, §3.2): ``graph.two_pass``
-  over the small→big DAG, a forward pass in topological order, then a
-  backward pass over the reversed DAG (minus §3.4 one-way edges), less
-  every transfer that carries no predicate (``graph.carrying_steps``):
+  over the small→big DAG (``graph.small_to_big``), a forward pass up
+  the tables' ``(size, name)`` order, then a backward pass down it over
+  the reversed DAG; a §3.4 one-way edge is sent in the one pass that
+  has its allowed direction. Less every transfer that carries no
+  predicate (``graph.carrying_steps``):
   one from a table with no predicate of its own that has heard nothing,
   or only its destination over the same keys. A step builds one Bloom
   filter per distinct key set of its out-edges in a single scan
@@ -44,7 +46,7 @@ from pyspark.sql import DataFrame
 
 from repro.bloom.spark_bloom import apply_blooms, build_blooms
 from repro.core.graph import DirectedEdge, JoinTree, Step, bfs_join_tree, carrying_steps
-from repro.core.graph import orient, topological_order, tree_steps, two_pass
+from repro.core.graph import small_to_big, tree_steps, two_pass
 from repro.core.spec import Edge
 
 
@@ -53,12 +55,12 @@ class TransferStats:
     """What the transfer phase did (for tests and EXPERIMENTS.md)."""
 
     dag: List[DirectedEdge]
-    topo: List[str]
+    order: List[str]  # (size, name) order; the forward pass goes up it
     steps: List[Step]
 
     @property
     def received(self) -> Dict[str, int]:  # table -> #filters
-        return {t: sum(d.dst == t for _, outs in self.steps for d in outs) for t in self.topo}
+        return {t: sum(d.dst == t for _, outs in self.steps for d in outs) for t in self.order}
 
     @property
     def n_scans(self) -> int:  # table scans used to build filters
@@ -120,11 +122,10 @@ def predicate_transfer(
     the schedule that ran. The reduced tables are lazy: each is its input
     plus the filters over every Bloom filter it received, which the join
     phase's scans apply (nothing is materialized here)."""
-    dag = orient(edges, sizes)
-    topo = topological_order(list(tables), dag)
-    steps = carrying_steps(two_pass(dag, topo), filtered)
+    order, dag = small_to_big(list(tables), edges, sizes)
+    steps = carrying_steps(two_pass(dag, order), filtered)
     reduced = run_steps(tables, steps, bloom_sender(sizes), apply_blooms)
-    return reduced, TransferStats(dag, topo, steps)
+    return reduced, TransferStats(dag, order, steps)
 
 
 def send_tables(src: str, df: DataFrame, outs: List[DirectedEdge]) -> list:

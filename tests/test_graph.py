@@ -7,8 +7,7 @@ from repro.core.graph import (
     carrying_steps,
     dag_steps,
     order_steps,
-    orient,
-    topological_order,
+    small_to_big,
     tree_steps,
     two_pass,
 )
@@ -62,6 +61,10 @@ class TestEdge:
         with pytest.raises(ValueError):
             Edge("A", ("x",), "B", ("y",), transfer="up")
 
+    def test_self_edge_rejected(self):
+        with pytest.raises(ValueError, match="self-edge"):
+            Edge("A", ("x",), "A", ("y",))
+
     def test_anti_requires_ltr(self):
         with pytest.raises(ValueError):
             Edge("A", ("x",), "B", ("y",), how="anti")
@@ -91,18 +94,29 @@ class TestEdge:
         assert e.can_transfer_from(frm) is expected
 
 
+def _dag(edges, sizes):
+    """``small_to_big``'s DAG over the tables of ``sizes``."""
+    return small_to_big(list(sizes), edges, sizes)[1]
+
+
 class TestOrient:
+    """``small_to_big``: the small→big DAG and its (size, name) order."""
+
     def test_points_small_to_big(self):
-        dag = orient(_chain_edges(), {"R": 10, "S": 100, "T": 5})
+        dag = _dag(_chain_edges(), {"R": 10, "S": 100, "T": 5})
         directions = {(d.src, d.dst) for d in dag}
         assert ("R", "S") in directions and ("T", "S") in directions
 
     def test_keeps_every_transferable_edge(self):
-        dag = orient(_q5ish_edges(), _Q5_SIZES)
-        assert len(dag) == 7  # no edge removed (paper §3.2)
+        edges = _q5ish_edges() + [
+            Edge("orders", ("ok",), "region", ("rk",), transfer="ltr"),
+            Edge("nation", ("nk",), "orders", ("ok",), transfer="none"),
+        ]
+        dag = _dag(edges, _Q5_SIZES)
+        assert [d.edge for d in dag] == edges  # none removed (paper §3.2)
 
     def test_q5_topology_matches_figure_1b(self):
-        dag = orient(_q5ish_edges(), _Q5_SIZES)
+        dag = _dag(_q5ish_edges(), _Q5_SIZES)
         dirs = {(d.src, d.dst) for d in dag}
         assert ("region", "nation") in dirs
         assert ("nation", "supplier") in dirs and ("nation", "customer") in dirs
@@ -110,74 +124,60 @@ class TestOrient:
         assert ("customer", "orders") in dirs and ("orders", "lineitem") in dirs
 
     def test_result_is_acyclic(self):
-        dag = orient(_q5ish_edges(), _Q5_SIZES)
-        topological_order(list(_Q5_SIZES), dag)  # raises on a cycle
+        # Every edge goes up the order, so the order is topological.
+        order, dag = small_to_big(list(_Q5_SIZES), _q5ish_edges(), _Q5_SIZES)
+        pos = {t: i for i, t in enumerate(order)}
+        assert all(pos[d.src] < pos[d.dst] for d in dag)
+
+    def test_order_is_size_then_name(self):
+        sizes = {**_Q5_SIZES, "orders": 100}  # ties with supplier
+        order, _ = small_to_big(list(sizes), _q5ish_edges(), sizes)
+        assert order == ["region", "nation", "orders", "supplier", "customer", "lineitem"]
 
     def test_tie_broken_by_name(self):
-        dag = orient([Edge("B", ("x",), "A", ("y",))], {"A": 5, "B": 5})
+        dag = _dag([Edge("B", ("x",), "A", ("y",))], {"A": 5, "B": 5})
         assert dag[0].src == "A"
 
-    def test_forced_direction_respected(self):
-        e = Edge("big", ("x",), "small", ("y",), transfer="ltr")
-        dag = orient([e], {"big": 100, "small": 1})
-        assert dag[0].src == "big" and dag[0].dst == "small"
-
-    def test_none_edges_excluded(self):
-        dag = orient([Edge("A", ("x",), "B", ("y",), transfer="none")], {"A": 1, "B": 2})
-        assert dag == []
-
-    def test_forced_edge_closing_cycle_is_skipped(self):
-        edges = [
-            Edge("A", ("x",), "B", ("y",)),  # free: A(1) -> B(2)
-            Edge("B", ("y",), "A", ("x",), transfer="ltr"),  # forced B -> A
-        ]
-        dag = orient(edges, {"A": 1, "B": 2})
-        assert len(dag) == 1 and (dag[0].src, dag[0].dst) == ("A", "B")
-
     def test_directed_edge_carries_key_columns(self):
-        dag = orient(_chain_edges(), {"R": 1, "S": 2, "T": 3})
+        dag = _dag(_chain_edges(), {"R": 1, "S": 2, "T": 3})
         d = next(x for x in dag if x.src == "R")
         assert d.src_cols == ("r_a",) and d.dst_cols == ("s_a",)
-
-
-class TestTopologicalOrder:
-    def test_respects_edges(self):
-        dag = orient(_q5ish_edges(), _Q5_SIZES)
-        order = topological_order(list(_Q5_SIZES), dag)
-        pos = {t: i for i, t in enumerate(order)}
-        for d in dag:
-            assert pos[d.src] < pos[d.dst]
-
-    def test_deterministic(self):
-        dag = orient(_q5ish_edges(), _Q5_SIZES)
-        nodes = list(_Q5_SIZES)
-        assert topological_order(nodes, dag) == topological_order(nodes, dag)
-
-    def test_cycle_detected(self):
-        e = Edge("A", ("x",), "B", ("y",))
-        cyc = [
-            DirectedEdge("A", ("x",), "B", ("y",), e),
-            DirectedEdge("B", ("y",), "A", ("x",), e),
-        ]
-        with pytest.raises(ValueError):
-            topological_order(["A", "B"], cyc)
 
 
 class TestReverseDag:
     """``two_pass``'s backward pass: the forward edges reversed."""
 
     def test_reverses_free_edges(self):
-        dag = orient(_chain_edges(), {"R": 1, "S": 2, "T": 3})
-        topo = topological_order(["R", "S", "T"], dag)
-        rev = [d for _, outs in two_pass(dag, topo)[len(dag_steps(dag, topo)) :] for d in outs]
+        order, dag = small_to_big(["R", "S", "T"], _chain_edges(), {"R": 1, "S": 2, "T": 3})
+        rev = [d for _, outs in two_pass(dag, order)[len(dag_steps(dag, order)) :] for d in outs]
         assert {(d.src, d.dst) for d in rev} == {("S", "R"), ("T", "S")}
         d = next(x for x in rev if x.src == "S" and x.dst == "R")
         assert d.src_cols == ("s_a",) and d.dst_cols == ("r_a",)
 
     def test_one_way_edges_not_reversed(self):
         e = Edge("A", ("x",), "B", ("y",), transfer="ltr")
-        dag = orient([e], {"A": 1, "B": 2})
+        dag = _dag([e], {"A": 1, "B": 2})
         assert two_pass(dag, ["A", "B"]) == [("A", dag)]
+
+    def test_one_way_edge_from_bigger_table_sent_backward(self):
+        e = Edge("big", ("x",), "small", ("y",), transfer="ltr")
+        order, dag = small_to_big(["big", "small"], [e], {"big": 100, "small": 1})
+        assert order == ["small", "big"] and (dag[0].src, dag[0].dst) == ("small", "big")
+        (step,) = two_pass(dag, order)
+        assert step == ("big", [DirectedEdge("big", ("x",), "small", ("y",), e)])
+
+    def test_one_way_edge_closing_a_cycle_is_sent(self):
+        free = Edge("A", ("x",), "B", ("y",))  # A(1) -> B(2)
+        one_way = Edge("B", ("y",), "A", ("x",), transfer="ltr")  # only B -> A
+        order, dag = small_to_big(["A", "B"], [free, one_way], {"A": 1, "B": 2})
+        steps = two_pass(dag, order)
+        assert _moves(steps) == [("A", "B"), ("B", "A", "A")]
+        assert [d.edge for d in steps[1][1]] == [free, one_way]
+
+    def test_none_edge_sent_in_neither_pass(self):
+        e = Edge("A", ("x",), "B", ("y",), transfer="none")
+        order, dag = small_to_big(["A", "B"], [e], {"A": 1, "B": 2})
+        assert len(dag) == 1 and two_pass(dag, order) == []
 
 
 class TestBfsJoinTree:
@@ -214,9 +214,8 @@ class TestBfsJoinTree:
 
 def _both_passes(edges, sizes):
     """Pred-Trans's forward and backward passes, before pruning."""
-    dag = orient(edges, sizes)
-    topo = topological_order(list(sizes), dag)
-    return two_pass(dag, topo)
+    order, dag = small_to_big(list(sizes), edges, sizes)
+    return two_pass(dag, order)
 
 
 def _moves(steps):
@@ -227,10 +226,9 @@ def _moves(steps):
 class TestSchedules:
     def test_dag_steps_on_chain(self):
         sizes = {"R": 3, "S": 4, "T": 3}  # S biggest: R→S and T→S
-        dag = orient(_chain_edges(), sizes)
-        topo = topological_order(list(sizes), dag)
-        assert _moves(dag_steps(dag, topo)) == [("R", "S"), ("T", "S")]
-        both = two_pass(dag, topo)
+        order, dag = small_to_big(list(sizes), _chain_edges(), sizes)
+        assert _moves(dag_steps(dag, order)) == [("R", "S"), ("T", "S")]
+        both = two_pass(dag, order)
         assert _moves(both) == [("R", "S"), ("T", "S"), ("S", "R", "T")]
         assert [(d.src_cols, d.dst_cols) for d in both[2][1]] == [
             (("s_a",), ("r_a",)),

@@ -10,8 +10,7 @@ from repro.core.graph import (
     bfs_join_tree,
     carrying_steps,
     order_steps,
-    orient,
-    topological_order,
+    small_to_big,
     tree_steps,
     two_pass,
 )
@@ -23,11 +22,12 @@ BUDGET = settings(max_examples=300, deadline=None, derandomize=True, database=No
 
 
 @st.composite
-def join_graphs(draw):
-    """``(tables, edges)``: a chain, a star or a cycle over 2–6 tables,
-    each edge on its own key columns with a random transfer mode."""
+def join_graphs(draw, max_tables=6):
+    """``(tables, edges)``: a chain, a star or a cycle over 2 to
+    ``max_tables`` tables, each edge on its own key columns with a random
+    transfer mode."""
     shape = draw(st.sampled_from(["chain", "star", "cycle"]))
-    n = draw(st.integers(2, 6))
+    n = draw(st.integers(2, max_tables))
     tables = [f"T{i}" for i in range(n)]
     if shape == "chain":
         pairs = list(zip(tables, tables[1:]))
@@ -66,16 +66,22 @@ def test_pred_trans_schedule_well_formed(graph, data):
     tables, edges = graph
     sizes = {t: data.draw(st.integers(1, 5)) for t in tables}
     filtered = data.draw(st.sets(st.sampled_from(tables)))
-    dag = orient(edges, sizes)
-    both = two_pass(dag, topological_order(tables, dag))
+    order, dag = small_to_big(tables, edges, sizes)
+    both = two_pass(dag, order)
     _assert_well_formed(both)
     _assert_well_formed(carrying_steps(both, filtered))
-    # The forward pass sends each DAG edge once; the backward pass
-    # reverses exactly those of them whose mode allows it.
+    # Forward transfers go up the (size, name) order, then backward ones
+    # down it; each pass has at most one step per table, in its order.
+    pos = {t: i for i, t in enumerate(sorted(tables, key=lambda t: (sizes[t], t)))}
+    fwd = [src for src, outs in both if all(pos[src] < pos[d.dst] for d in outs)]
+    back = [src for src, outs in both if all(pos[src] > pos[d.dst] for d in outs)]
+    assert [src for src, _ in both] == fwd + back
+    assert fwd == sorted(set(fwd), key=pos.get)
+    assert back == sorted(set(back), key=pos.get, reverse=True)
+    # Every (edge, source) pair the edge's mode allows is sent exactly once.
     sent = Counter((id(d.edge), d.src) for d in _transfers(both))
-    expected = Counter((id(d.edge), d.src) for d in dag)
-    expected.update((id(d.edge), d.dst) for d in dag if d.edge.can_transfer_from(d.dst))
-    assert sent == expected
+    allowed = [(id(e), t) for e in edges for t in (e.left, e.right) if e.can_transfer_from(t)]
+    assert sent == Counter(allowed)
 
 
 @BUDGET

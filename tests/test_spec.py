@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.spec import Edge, QuerySpec, SubQuery, TableRef, rename_prefix, schema_problems
 from repro.core.spec import left_deep, validate
+from repro.core.strategies import STRATEGIES, run_query
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +198,18 @@ class TestValidate:
         )
         assert spec.filtered == {"S", "T"}
         assert _spec(*dfs).filtered == set()
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_self_edge_refused_before_any_job(spark, dfs, strategy):
+    """An edge from a table to itself (``r_a = r_x`` within R) is refused:
+    the left-deep plan never joins it, so no strategy could apply it."""
+    sc = spark.sparkContext
+    sc.setJobGroup("rejected-run", "run_query with a self-edge")
+    try:
+        with pytest.raises(ValueError, match="edge R-R: a self-edge"):
+            spec = _spec(*dfs, edges=_spec(*dfs).edges + [Edge("R", ("r_a",), "R", ("r_x",))])
+            run_query(spark, spec, strategy)
+        assert sc.statusTracker().getJobIdsForGroup("rejected-run") == []
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
